@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .search_space import HyperparamSpec, validate
+from .search_space import FIELDS, HyperparamSpec, validate
 
 WINDOW = (8, 7, 7)  # fixed self-attention window, not searched
 WINDOW_VOLUME = WINDOW[0] * WINDOW[1] * WINDOW[2]
@@ -188,34 +188,19 @@ def synthetic_latency(
 
 
 def spec_distance(spec: HyperparamSpec, reference: HyperparamSpec) -> float:
-    """Normalized distance in [0, 1]: mean of 8 per-field terms.
+    """Normalized distance in [0, 1]: mean of the per-field terms.
 
     Vector fields contribute their entry mismatch fraction, scalar
-    categoricals 0/1, learning rate |delta log10|/5 and gamma |delta|/0.8.
+    categoricals 0/1, and reals their difference over the width of their
+    range (in log10 for the learning rate).
     """
-    terms = [
-        sum(a != b for a, b in zip(spec.patch_size, reference.patch_size)) / 3,
-        float(spec.embed_dim != reference.embed_dim),
-        sum(a != b for a, b in zip(spec.depths, reference.depths)) / 4,
-        sum(a != b for a, b in zip(spec.heads, reference.heads)) / 4,
-        float(spec.mlp_ratio != reference.mlp_ratio),
-        abs(math.log10(spec.learning_rate) - math.log10(reference.learning_rate)) / 5.0,
-        float(spec.lr_step_size != reference.lr_step_size),
-        abs(spec.lr_gamma - reference.lr_gamma) / 0.8,
-    ]
+    terms = [f.distance(getattr(spec, f.name), getattr(reference, f.name)) for f in FIELDS]
     return sum(terms) / len(terms)
 
 
 def categorical_mismatches(spec: HyperparamSpec, reference: HyperparamSpec) -> int:
     """Count of discrete entries differing from the reference (0 = match)."""
-    return (
-        sum(a != b for a, b in zip(spec.patch_size, reference.patch_size))
-        + (spec.embed_dim != reference.embed_dim)
-        + sum(a != b for a, b in zip(spec.depths, reference.depths))
-        + sum(a != b for a, b in zip(spec.heads, reference.heads))
-        + (spec.mlp_ratio != reference.mlp_ratio)
-        + (spec.lr_step_size != reference.lr_step_size)
-    )
+    return sum(f.mismatches(getattr(spec, f.name), getattr(reference, f.name)) for f in FIELDS)
 
 
 def synthetic_val_loss(

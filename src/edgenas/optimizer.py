@@ -14,18 +14,17 @@ import csv
 import hashlib
 import math
 import random
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .search_space import DEFAULT_SPACE, HyperparamSpec, SearchSpaceDef, mutate, sample
+from .search_space import FIELDS, HyperparamSpec, mutate, sample
 
 LOSS_WEIGHT = 1000.0
 
-HISTORY_CSV_COLUMNS = (
-    "run_id,lineage,round,patch_t,patch_h,patch_w,embed_dim,d0,d1,d2,d3,"
-    "h0,h1,h2,h3,mlp_ratio,lr,lr_step,lr_gamma,val_loss,inference_ms,score,accepted"
+HISTORY_CSV_COLUMNS = ",".join(
+    ["run_id", "lineage", "round", *(c for f in FIELDS for c in f.columns),
+     "val_loss", "inference_ms", "score", "accepted"]
 )
 
 
@@ -147,7 +146,6 @@ def derive_seed(*parts: Any) -> int:
 def run_ea(
     config: RunConfig,
     evaluator: Evaluator,
-    space: SearchSpaceDef = DEFAULT_SPACE,
     max_workers: int | None = None,
 ) -> RunHistory:
     """Run the (1+1) EA until the evaluation budget is exhausted.
@@ -182,7 +180,7 @@ def run_ea(
     population = config.population_size
     initial = []
     for lineage_id in range(population):
-        spec = sample(rng, space)
+        spec = sample(rng)
         ctx = EvalContext(lineage_id, 0, lineage_id, derive_seed(config.seed, lineage_id, 0))
         initial.append((spec, ctx))
     parents: list[Lineage] = []
@@ -197,7 +195,7 @@ def run_ea(
         width = min(population, config.total_evaluations - evals_done)
         batch = []
         for lineage_id in range(width):  # final partial round covers the first lineages
-            offspring = mutate(parents[lineage_id].parent_spec, rng, space)
+            offspring = mutate(parents[lineage_id].parent_spec, rng)
             ctx = EvalContext(
                 lineage_id, round_index, evals_done + lineage_id,
                 derive_seed(config.seed, lineage_id, round_index),
@@ -241,21 +239,10 @@ def pareto_front(points: Iterable[tuple[float, float, Any]]) -> list[Any]:
     return front
 
 
-_MEDIAN_FIELDS_CATEGORICAL = ("embed_dim", "mlp_ratio", "lr_step_size")
-_MEDIAN_FIELDS_VECTOR = ("patch_size", "depths", "heads")
-_MEDIAN_FIELDS_CONTINUOUS = ("learning_rate", "lr_gamma")
-
-
 @dataclass(frozen=True)
-class MedianReport:
-    patch_size: tuple[int, int, int]
-    embed_dim: int
-    depths: tuple[int, int, int, int]
-    heads: tuple[int, int, int, int]
-    mlp_ratio: int
-    learning_rate: float
-    lr_step_size: int
-    lr_gamma: float
+class MedianReport(HyperparamSpec):
+    """Per-field medians of the selected candidates, and how many were selected."""
+
     sample_count: int
 
 
@@ -283,24 +270,8 @@ def top_decile_medians(source) -> MedianReport:
         raise ValueError(f"need at least 10 evaluated candidates, got {len(entries)}")
     k = math.ceil(len(entries) / 10)
     top = sorted(entries, key=lambda e: e[1])[:k]
-    specs = [spec for spec, _ in top]
-
-    def vector_median(name: str, length: int) -> tuple[int, ...]:
-        return tuple(
-            statistics.median_low([getattr(s, name)[i] for s in specs]) for i in range(length)
-        )
-
-    return MedianReport(
-        patch_size=vector_median("patch_size", 3),
-        embed_dim=statistics.median_low([s.embed_dim for s in specs]),
-        depths=vector_median("depths", 4),
-        heads=vector_median("heads", 4),
-        mlp_ratio=statistics.median_low([s.mlp_ratio for s in specs]),
-        learning_rate=statistics.median([s.learning_rate for s in specs]),
-        lr_step_size=statistics.median_low([s.lr_step_size for s in specs]),
-        lr_gamma=statistics.median([s.lr_gamma for s in specs]),
-        sample_count=k,
-    )
+    medians = {f.name: f.median([getattr(spec, f.name) for spec, _ in top]) for f in FIELDS}
+    return MedianReport(**medians, sample_count=k)
 
 
 def write_history_csv(history: RunHistory, run_id: str, path) -> None:
@@ -309,21 +280,13 @@ def write_history_csv(history: RunHistory, run_id: str, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_CSV_COLUMNS.split(","))
         for r in sorted(history.records, key=lambda r: r.eval_index):
-            s = r.spec
             ok = r.breakdown is not None
             writer.writerow(
                 [
                     run_id,
                     r.lineage_id,
                     r.round_index,
-                    s.patch_size[0], s.patch_size[1], s.patch_size[2],
-                    s.embed_dim,
-                    s.depths[0], s.depths[1], s.depths[2], s.depths[3],
-                    s.heads[0], s.heads[1], s.heads[2], s.heads[3],
-                    s.mlp_ratio,
-                    repr(s.learning_rate),
-                    s.lr_step_size,
-                    repr(s.lr_gamma),
+                    *(cell for f in FIELDS for cell in f.cells(getattr(r.spec, f.name))),
                     repr(r.breakdown.val_loss) if ok else "",
                     repr(r.breakdown.inference_time_ms) if ok else "",
                     repr(r.breakdown.score) if ok else "inf",

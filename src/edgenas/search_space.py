@@ -4,6 +4,11 @@ The domain covers the architectural knobs of a four-stage windowed video
 transformer (patch size, embedding width, stage depths, head counts, MLP
 ratio) plus three optimizer knobs (learning rate, scheduler step, decay
 factor). All functions are pure; the caller owns the RNG.
+
+FIELDS describes each field once: its kind, choices or bounds, vector
+length and history-CSV columns. Sampling, mutation, validation, the spec
+document, spec distances, medians and the history CSV all loop over it, so
+adding a field means one FIELDS row plus one HyperparamSpec attribute.
 """
 
 from __future__ import annotations
@@ -11,35 +16,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+import statistics
+from dataclasses import dataclass
 
-PATCH_CHOICES = (2, 4)
-EMBED_DIM_CHOICES = (24, 48)
-DEPTH_CHOICES = (1, 2, 4)
-HEAD_CHOICES = (3, 6, 12, 24)
-MLP_RATIO_CHOICES = (1, 2, 3, 4)
-LR_BOUNDS = (1e-5, 1.0)
-LR_GAMMA_BOUNDS = (0.1, 0.9)
-LR_STEP_CHOICES = (10, 20, 40)
-
-GAMMA_EPS = 1e-6
+OPEN_MARGIN = 1e-6  # how far open-interval reals stay inside their bounds
 MUTATION_RATE = 1.0 / 8.0
-LR_MUTATION_SIGMA = 0.5  # std of the log10 multiplier
-GAMMA_MUTATION_SIGMA = 0.1
-
-#: Stable document field names; external trainers and the store rely on them.
-FIELD_NAMES = (
-    "patch_size",
-    "embed_dim",
-    "depths",
-    "heads",
-    "mlp_ratio",
-    "learning_rate",
-    "lr_step_size",
-    "lr_gamma",
-)
-
-_VECTOR_LEN = {"patch_size": 3, "depths": 4, "heads": 4}
 
 
 class DocumentError(ValueError):
@@ -64,146 +45,238 @@ class HyperparamSpec:
     lr_gamma: float
 
 
-@dataclass(frozen=True)
-class SearchSpaceDef:
-    """Per-field range descriptors of the sampling domain."""
-
-    patch_choices: tuple[int, ...] = PATCH_CHOICES
-    embed_dim_choices: tuple[int, ...] = EMBED_DIM_CHOICES
-    depth_choices: tuple[int, ...] = DEPTH_CHOICES
-    head_choices: tuple[int, ...] = HEAD_CHOICES
-    mlp_ratio_choices: tuple[int, ...] = MLP_RATIO_CHOICES
-    lr_bounds: tuple[float, float] = LR_BOUNDS  # log-uniform, closed
-    lr_gamma_bounds: tuple[float, float] = LR_GAMMA_BOUNDS  # uniform, open
-    lr_step_choices: tuple[int, ...] = LR_STEP_CHOICES
-
-    def __post_init__(self):
-        for name in (
-            "patch_choices",
-            "embed_dim_choices",
-            "depth_choices",
-            "head_choices",
-            "mlp_ratio_choices",
-            "lr_step_choices",
-        ):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if not self.lr_bounds[0] < self.lr_bounds[1]:
-            raise ValueError("lr_bounds must be ordered")
-        if not self.lr_gamma_bounds[0] < self.lr_gamma_bounds[1]:
-            raise ValueError("lr_gamma_bounds must be ordered")
-
-
-DEFAULT_SPACE = SearchSpaceDef()
-
-
-def default_config() -> HyperparamSpec:
-    """The expert-chosen baseline configuration."""
-    return HyperparamSpec(
-        patch_size=(2, 4, 4),
-        embed_dim=96,
-        depths=(2, 2, 6, 2),
-        heads=(3, 6, 12, 24),
-        mlp_ratio=4,
-        learning_rate=1e-4,
-        lr_step_size=10,
-        lr_gamma=0.5,
-    )
-
-
-def _clamp_gamma(value: float, space: SearchSpaceDef) -> float:
-    lo, hi = space.lr_gamma_bounds
-    return min(max(value, lo + GAMMA_EPS), hi - GAMMA_EPS)
-
-
-def sample(rng: random.Random, space: SearchSpaceDef = DEFAULT_SPACE) -> HyperparamSpec:
-    """Draw one spec: categorical fields uniform, lr log-uniform, gamma uniform."""
-    log_lo = math.log10(space.lr_bounds[0])
-    log_hi = math.log10(space.lr_bounds[1])
-    return HyperparamSpec(
-        patch_size=tuple(rng.choice(space.patch_choices) for _ in range(3)),
-        embed_dim=rng.choice(space.embed_dim_choices),
-        depths=tuple(rng.choice(space.depth_choices) for _ in range(4)),
-        heads=tuple(rng.choice(space.head_choices) for _ in range(4)),
-        mlp_ratio=rng.choice(space.mlp_ratio_choices),
-        learning_rate=10.0 ** rng.uniform(log_lo, log_hi),
-        lr_step_size=rng.choice(space.lr_step_choices),
-        lr_gamma=_clamp_gamma(rng.uniform(*space.lr_gamma_bounds), space),
-    )
-
-
 def _resample_excluding(rng: random.Random, choices: tuple[int, ...], current: int) -> int:
     pool = [c for c in choices if c != current]
     return rng.choice(pool) if pool else current
 
 
-def _mutate_field(spec: HyperparamSpec, name: str, rng: random.Random, space: SearchSpaceDef) -> HyperparamSpec:
-    if name == "patch_size":
-        idx = rng.randrange(3)
-        value = list(spec.patch_size)
-        value[idx] = _resample_excluding(rng, space.patch_choices, value[idx])
-        return replace(spec, patch_size=tuple(value))
-    if name == "embed_dim":
-        return replace(spec, embed_dim=_resample_excluding(rng, space.embed_dim_choices, spec.embed_dim))
-    if name == "depths":
-        idx = rng.randrange(4)
-        value = list(spec.depths)
-        value[idx] = _resample_excluding(rng, space.depth_choices, value[idx])
-        return replace(spec, depths=tuple(value))
-    if name == "heads":
-        idx = rng.randrange(4)
-        value = list(spec.heads)
-        value[idx] = _resample_excluding(rng, space.head_choices, value[idx])
-        return replace(spec, heads=tuple(value))
-    if name == "mlp_ratio":
-        return replace(spec, mlp_ratio=_resample_excluding(rng, space.mlp_ratio_choices, spec.mlp_ratio))
-    if name == "learning_rate":
-        lr = spec.learning_rate * 10.0 ** rng.gauss(0.0, LR_MUTATION_SIGMA)
-        return replace(spec, learning_rate=min(max(lr, space.lr_bounds[0]), space.lr_bounds[1]))
-    if name == "lr_step_size":
-        return replace(spec, lr_step_size=_resample_excluding(rng, space.lr_step_choices, spec.lr_step_size))
-    if name == "lr_gamma":
-        return replace(spec, lr_gamma=_clamp_gamma(spec.lr_gamma + rng.gauss(0.0, GAMMA_MUTATION_SIGMA), space))
-    raise KeyError(name)
+@dataclass(frozen=True)
+class Choice:
+    """Categorical integer drawn uniformly from `choices`; mutation resamples it."""
+
+    name: str
+    choices: tuple[int, ...]
+    columns: tuple[str, ...] = ()  # history-CSV columns; default (name,)
+
+    def __post_init__(self):
+        if not self.columns:
+            object.__setattr__(self, "columns", (self.name,))
+
+    def sample(self, rng: random.Random):
+        return rng.choice(self.choices)
+
+    def mutate(self, value, rng: random.Random):
+        return _resample_excluding(rng, self.choices, value)
+
+    def project(self, value, rng: random.Random):
+        return value if value in self.choices else rng.choice(self.choices)
+
+    def check(self, value, violations: list[str]) -> None:
+        if value not in self.choices:
+            violations.append(f"{self.name}: {value} not in {sorted(self.choices)}")
+
+    def decode(self, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DocumentError(self.name, f"expected integer, got {value!r}")
+        return value
+
+    def to_document(self, value):
+        return value
+
+    def cells(self, value) -> list:
+        return [value]
+
+    def mismatches(self, a, b) -> int:
+        return int(a != b)
+
+    def distance(self, a, b) -> float:
+        return float(a != b)
+
+    def median(self, values: list):
+        return statistics.median_low(values)
 
 
-def _project_strict(spec: HyperparamSpec, rng: random.Random, space: SearchSpaceDef) -> HyperparamSpec:
-    """Resample any field still outside the strict ranges (baseline parents)."""
-    if spec.embed_dim not in space.embed_dim_choices:
-        spec = replace(spec, embed_dim=rng.choice(space.embed_dim_choices))
-    if any(d not in space.depth_choices for d in spec.depths):
-        spec = replace(
-            spec,
-            depths=tuple(
-                d if d in space.depth_choices else rng.choice(space.depth_choices) for d in spec.depths
-            ),
-        )
-    if any(p not in space.patch_choices for p in spec.patch_size):
-        spec = replace(
-            spec,
-            patch_size=tuple(
-                p if p in space.patch_choices else rng.choice(space.patch_choices) for p in spec.patch_size
-            ),
-        )
-    if any(h not in space.head_choices for h in spec.heads):
-        spec = replace(
-            spec,
-            heads=tuple(h if h in space.head_choices else rng.choice(space.head_choices) for h in spec.heads),
-        )
-    if spec.mlp_ratio not in space.mlp_ratio_choices:
-        spec = replace(spec, mlp_ratio=rng.choice(space.mlp_ratio_choices))
-    if spec.lr_step_size not in space.lr_step_choices:
-        spec = replace(spec, lr_step_size=rng.choice(space.lr_step_choices))
-    lr = min(max(spec.learning_rate, space.lr_bounds[0]), space.lr_bounds[1])
-    if lr != spec.learning_rate:
-        spec = replace(spec, learning_rate=lr)
-    gamma = _clamp_gamma(spec.lr_gamma, space)
-    if gamma != spec.lr_gamma:
-        spec = replace(spec, lr_gamma=gamma)
-    return spec
+@dataclass(frozen=True)
+class ChoiceVector:
+    """One categorical integer per entry; mutation resamples one random entry."""
+
+    name: str
+    choices: tuple[int, ...]
+    length: int
+    columns: tuple[str, ...]
+
+    def sample(self, rng: random.Random):
+        return tuple(rng.choice(self.choices) for _ in range(self.length))
+
+    def mutate(self, value, rng: random.Random):
+        idx = rng.randrange(self.length)
+        value = list(value)
+        value[idx] = _resample_excluding(rng, self.choices, value[idx])
+        return tuple(value)
+
+    def project(self, value, rng: random.Random):
+        if all(v in self.choices for v in value):
+            return value
+        return tuple(v if v in self.choices else rng.choice(self.choices) for v in value)
+
+    def check(self, value, violations: list[str]) -> None:
+        if not isinstance(value, tuple) or len(value) != self.length:
+            violations.append(f"{self.name}: expected {self.length} entries, got {value!r}")
+            return
+        for i, entry in enumerate(value):
+            if entry not in self.choices:
+                violations.append(f"{self.name}[{i}]: {entry} not in {sorted(self.choices)}")
+
+    def decode(self, value):
+        if not isinstance(value, list) or len(value) != self.length:
+            raise DocumentError(self.name, f"expected list of {self.length} integers, got {value!r}")
+        for entry in value:
+            if isinstance(entry, bool) or not isinstance(entry, int):
+                raise DocumentError(self.name, f"expected integer entries, got {entry!r}")
+        return tuple(value)
+
+    def to_document(self, value):
+        return list(value)
+
+    def cells(self, value) -> list:
+        return list(value)
+
+    def mismatches(self, a, b) -> int:
+        return sum(x != y for x, y in zip(a, b))
+
+    def distance(self, a, b) -> float:
+        return self.mismatches(a, b) / self.length
+
+    def median(self, values: list):
+        return tuple(statistics.median_low([v[i] for v in values]) for i in range(self.length))
 
 
-def mutate(parent: HyperparamSpec, rng: random.Random, space: SearchSpaceDef = DEFAULT_SPACE) -> HyperparamSpec:
+@dataclass(frozen=True)
+class _Real:
+    """Real-valued field within `bounds`; mutation takes a Gaussian step of `sigma`."""
+
+    name: str
+    bounds: tuple[float, float]
+    sigma: float
+    columns: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.columns:
+            object.__setattr__(self, "columns", (self.name,))
+
+    def decode(self, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DocumentError(self.name, f"expected real, got {value!r}")
+        return float(value)
+
+    def to_document(self, value):
+        return value
+
+    def cells(self, value) -> list:
+        return [value]
+
+    def mismatches(self, a, b) -> int:
+        return 0
+
+    def median(self, values: list):
+        return statistics.median(values)
+
+
+class LogUniform(_Real):
+    """Closed range sampled log-uniformly; mutation scales by 10**N(0, sigma)."""
+
+    def sample(self, rng: random.Random):
+        return 10.0 ** rng.uniform(math.log10(self.bounds[0]), math.log10(self.bounds[1]))
+
+    def mutate(self, value, rng: random.Random):
+        return self.project(value * 10.0 ** rng.gauss(0.0, self.sigma), rng)
+
+    def project(self, value, rng: random.Random):
+        return min(max(value, self.bounds[0]), self.bounds[1])
+
+    def check(self, value, violations: list[str]) -> None:
+        lo, hi = self.bounds
+        if not (isinstance(value, float) and lo <= value <= hi):
+            violations.append(f"{self.name}: {value!r} not in [{lo}, {hi}]")
+
+    def distance(self, a, b) -> float:
+        span = math.log10(self.bounds[1]) - math.log10(self.bounds[0])
+        return abs(math.log10(a) - math.log10(b)) / span
+
+
+class OpenUniform(_Real):
+    """Open range sampled uniformly; mutation adds N(0, sigma), kept inside the bounds."""
+
+    def sample(self, rng: random.Random):
+        return self.project(rng.uniform(*self.bounds), rng)
+
+    def mutate(self, value, rng: random.Random):
+        return self.project(value + rng.gauss(0.0, self.sigma), rng)
+
+    def project(self, value, rng: random.Random):
+        return min(max(value, self.bounds[0] + OPEN_MARGIN), self.bounds[1] - OPEN_MARGIN)
+
+    def check(self, value, violations: list[str]) -> None:
+        lo, hi = self.bounds
+        if not (isinstance(value, float) and lo < value < hi):
+            violations.append(f"{self.name}: {value!r} not in open ({lo}, {hi})")
+
+    def distance(self, a, b) -> float:
+        return abs(a - b) / (self.bounds[1] - self.bounds[0])
+
+
+#: The sampling domain, in the order of the published document fields.
+FIELDS = (
+    ChoiceVector("patch_size", (2, 4), 3, ("patch_t", "patch_h", "patch_w")),
+    Choice("embed_dim", (24, 48)),
+    ChoiceVector("depths", (1, 2, 4), 4, ("d0", "d1", "d2", "d3")),
+    ChoiceVector("heads", (3, 6, 12, 24), 4, ("h0", "h1", "h2", "h3")),
+    Choice("mlp_ratio", (1, 2, 3, 4)),
+    LogUniform("learning_rate", (1e-5, 1.0), sigma=0.5, columns=("lr",)),
+    Choice("lr_step_size", (10, 20, 40), ("lr_step",)),
+    OpenUniform("lr_gamma", (0.1, 0.9), sigma=0.1),
+)
+
+#: Stable document field names; external trainers and the store rely on them.
+FIELD_NAMES = tuple(f.name for f in FIELDS)
+FIELD_BY_NAME = dict(zip(FIELD_NAMES, FIELDS))
+PATCH_CHOICES = FIELD_BY_NAME["patch_size"].choices
+EMBED_DIM_CHOICES = FIELD_BY_NAME["embed_dim"].choices
+DEPTH_CHOICES = FIELD_BY_NAME["depths"].choices
+HEAD_CHOICES = FIELD_BY_NAME["heads"].choices
+MLP_RATIO_CHOICES = FIELD_BY_NAME["mlp_ratio"].choices
+LR_STEP_CHOICES = FIELD_BY_NAME["lr_step_size"].choices
+
+# Projection resamples embed_dim and depths before the other fields; seeded
+# runs depend on this RNG draw order.
+_PROJECTED_FIRST = ("embed_dim", "depths")
+_PROJECTION_ORDER = [FIELD_BY_NAME[name] for name in _PROJECTED_FIRST] + [
+    f for f in FIELDS if f.name not in _PROJECTED_FIRST
+]
+
+_BASELINE = HyperparamSpec(
+    patch_size=(2, 4, 4),
+    embed_dim=96,
+    depths=(2, 2, 6, 2),
+    heads=(3, 6, 12, 24),
+    mlp_ratio=4,
+    learning_rate=1e-4,
+    lr_step_size=10,
+    lr_gamma=0.5,
+)
+
+
+def default_config() -> HyperparamSpec:
+    """The expert-chosen baseline configuration."""
+    return _BASELINE
+
+
+def sample(rng: random.Random) -> HyperparamSpec:
+    """Draw one spec: categorical fields uniform, lr log-uniform, gamma uniform."""
+    return HyperparamSpec(*[f.sample(rng) for f in FIELDS])
+
+
+def mutate(parent: HyperparamSpec, rng: random.Random) -> HyperparamSpec:
     """One offspring: each field mutates with probability 1/8, at least one change.
 
     The mutation mask is drawn over the 8 fields and redrawn until non-empty.
@@ -213,27 +286,19 @@ def mutate(parent: HyperparamSpec, rng: random.Random, space: SearchSpaceDef = D
     satisfy the strict ranges, even for a baseline parent.
     """
     for _ in range(1000):
-        mask = [rng.random() < MUTATION_RATE for _ in FIELD_NAMES]
+        mask = [rng.random() < MUTATION_RATE for _ in FIELDS]
         if not any(mask):
             continue
-        offspring = parent
-        for name, hit in zip(FIELD_NAMES, mask):
+        values = {name: getattr(parent, name) for name in FIELD_NAMES}
+        for f, hit in zip(FIELDS, mask):
             if hit:
-                offspring = _mutate_field(offspring, name, rng, space)
-        offspring = _project_strict(offspring, rng, space)
+                values[f.name] = f.mutate(values[f.name], rng)
+        for f in _PROJECTION_ORDER:  # resample what is still outside the strict ranges
+            values[f.name] = f.project(values[f.name], rng)
+        offspring = HyperparamSpec(**values)
         if offspring != parent:
             return offspring
     raise RuntimeError("mutation failed to produce a distinct offspring")
-
-
-def _check_vector(name: str, value, choices, violations: list[str]) -> None:
-    expected_len = _VECTOR_LEN[name]
-    if not isinstance(value, tuple) or len(value) != expected_len:
-        violations.append(f"{name}: expected {expected_len} entries, got {value!r}")
-        return
-    for i, entry in enumerate(value):
-        if entry not in choices:
-            violations.append(f"{name}[{i}]: {entry} not in {sorted(choices)}")
 
 
 def validate(spec: HyperparamSpec, mode: str = "strict") -> list[str]:
@@ -245,78 +310,23 @@ def validate(spec: HyperparamSpec, mode: str = "strict") -> list[str]:
     """
     if mode not in ("strict", "baseline"):
         raise ValueError(f"unknown validation mode {mode!r}")
-    space = DEFAULT_SPACE
-    baseline = default_config() if mode == "baseline" else None
+    baseline = mode == "baseline"
     violations: list[str] = []
-
-    def admissible(name: str) -> bool:
-        return baseline is not None and getattr(spec, name) == getattr(baseline, name)
-
-    if not admissible("patch_size"):
-        _check_vector("patch_size", spec.patch_size, space.patch_choices, violations)
-    if not admissible("embed_dim") and spec.embed_dim not in space.embed_dim_choices:
-        violations.append(f"embed_dim: {spec.embed_dim} not in {sorted(space.embed_dim_choices)}")
-    if not admissible("depths"):
-        _check_vector("depths", spec.depths, space.depth_choices, violations)
-    if not admissible("heads"):
-        _check_vector("heads", spec.heads, space.head_choices, violations)
-    if not admissible("mlp_ratio") and spec.mlp_ratio not in space.mlp_ratio_choices:
-        violations.append(f"mlp_ratio: {spec.mlp_ratio} not in {sorted(space.mlp_ratio_choices)}")
-    if not admissible("learning_rate"):
-        lo, hi = space.lr_bounds
-        if not (isinstance(spec.learning_rate, float) and lo <= spec.learning_rate <= hi):
-            violations.append(f"learning_rate: {spec.learning_rate!r} not in [{lo}, {hi}]")
-    if not admissible("lr_step_size") and spec.lr_step_size not in space.lr_step_choices:
-        violations.append(f"lr_step_size: {spec.lr_step_size} not in {sorted(space.lr_step_choices)}")
-    if not admissible("lr_gamma"):
-        lo, hi = space.lr_gamma_bounds
-        if not (isinstance(spec.lr_gamma, float) and lo < spec.lr_gamma < hi):
-            violations.append(f"lr_gamma: {spec.lr_gamma!r} not in open ({lo}, {hi})")
+    for f in FIELDS:
+        value = getattr(spec, f.name)
+        if not (baseline and value == getattr(_BASELINE, f.name)):
+            f.check(value, violations)
     return violations
 
 
 def to_document_dict(spec: HyperparamSpec) -> dict:
     """Plain-dict form with the published field names (lists for vectors)."""
-    return {
-        "patch_size": list(spec.patch_size),
-        "embed_dim": spec.embed_dim,
-        "depths": list(spec.depths),
-        "heads": list(spec.heads),
-        "mlp_ratio": spec.mlp_ratio,
-        "learning_rate": spec.learning_rate,
-        "lr_step_size": spec.lr_step_size,
-        "lr_gamma": spec.lr_gamma,
-    }
+    return {f.name: f.to_document(getattr(spec, f.name)) for f in FIELDS}
 
 
 def encode(spec: HyperparamSpec) -> str:
     """Portable JSON document; decode(encode(s)) == s bit-exactly."""
     return json.dumps(to_document_dict(spec), separators=(",", ":"))
-
-
-def _require_int(doc: dict, field: str) -> int:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(field, f"expected integer, got {value!r}")
-    return value
-
-
-def _require_int_vector(doc: dict, field: str) -> tuple[int, ...]:
-    value = doc[field]
-    expected_len = _VECTOR_LEN[field]
-    if not isinstance(value, list) or len(value) != expected_len:
-        raise DocumentError(field, f"expected list of {expected_len} integers, got {value!r}")
-    for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            raise DocumentError(field, f"expected integer entries, got {entry!r}")
-    return tuple(value)
-
-
-def _require_real(doc: dict, field: str) -> float:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(field, f"expected real, got {value!r}")
-    return float(value)
 
 
 def decode(document: str) -> HyperparamSpec:
@@ -327,16 +337,7 @@ def decode(document: str) -> HyperparamSpec:
         raise DocumentError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("<document>", "expected a JSON object")
-    for field in FIELD_NAMES:
-        if field not in doc:
-            raise DocumentError(field, "missing")
-    return HyperparamSpec(
-        patch_size=_require_int_vector(doc, "patch_size"),
-        embed_dim=_require_int(doc, "embed_dim"),
-        depths=_require_int_vector(doc, "depths"),
-        heads=_require_int_vector(doc, "heads"),
-        mlp_ratio=_require_int(doc, "mlp_ratio"),
-        learning_rate=_require_real(doc, "learning_rate"),
-        lr_step_size=_require_int(doc, "lr_step_size"),
-        lr_gamma=_require_real(doc, "lr_gamma"),
-    )
+    for name in FIELD_NAMES:
+        if name not in doc:
+            raise DocumentError(name, "missing")
+    return HyperparamSpec(*[f.decode(doc[f.name]) for f in FIELDS])

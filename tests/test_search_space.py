@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from edgenas.search_space import (
     DocumentError,
     EMBED_DIM_CHOICES,
     FIELD_NAMES,
+    HyperparamSpec,
     MUTATION_RATE,
     decode,
     default_config,
@@ -54,6 +56,10 @@ def test_validate_names_offending_field():
 def test_unknown_validation_mode_rejected():
     with pytest.raises(ValueError):
         validate(default_config(), "lenient")
+
+
+def test_field_table_matches_spec_attributes():
+    assert FIELD_NAMES == tuple(f.name for f in dataclasses.fields(HyperparamSpec))
 
 
 def test_sample_deterministic_for_seed():
