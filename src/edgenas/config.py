@@ -7,14 +7,18 @@ flag > environment > file > default.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 import yaml
 
 from .cost_model import DeviceProfile, SurrogateConfig
 from .edge_agent import AgentConfig
+from .search_space import HyperparamSpec
 from .search_space import decode as decode_spec
 
 ENV_STORE = "EDGENAS_STORE"
@@ -62,133 +66,77 @@ class CliConfig:
     report: ReportSection = field(default_factory=ReportSection)
 
 
+def _mapping(section: str, doc) -> dict:
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {doc!r}")
+    return doc
+
+
 def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(map(str, unknown)))}")
 
 
-def _get(doc: dict, key: str, kind, default):
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key}: expected a list, got {value!r}")
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    return value
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(value)
 
 
-def _command(doc: dict, key: str) -> list[str] | None:
-    value = doc.get(key)
-    if value is None:
-        return None
+def _command(value) -> list[str]:
     if isinstance(value, str):
         return value.split()
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return list(value)
-    raise ConfigError(f"{key}: expected a command string or list of strings")
+    raise ValueError(f"expected a command string or list of strings, got {value!r}")
 
 
-def _parse_run(doc: dict) -> RunSection:
-    _check_keys(
-        "run", doc,
-        {"population", "samples", "seed", "epochs", "score_batch_size", "measurement_timeout_s",
-         "poll_interval_ms", "trainer_duration_s", "trainer_command"},
-    )
-    d = RunSection()
-    return RunSection(
-        population=_get(doc, "population", int, d.population),
-        samples=_get(doc, "samples", int, d.samples),
-        seed=_get(doc, "seed", int, d.seed),
-        epochs=_get(doc, "epochs", int, d.epochs),
-        score_batch_size=_get(doc, "score_batch_size", int, d.score_batch_size),
-        measurement_timeout_s=_get(doc, "measurement_timeout_s", float, d.measurement_timeout_s),
-        poll_interval_ms=_get(doc, "poll_interval_ms", int, d.poll_interval_ms),
-        trainer_duration_s=_get(doc, "trainer_duration_s", float, d.trainer_duration_s),
-        trainer_command=_command(doc, "trainer_command"),
-    )
+def _spec(value) -> HyperparamSpec:
+    return decode_spec(json.dumps(value))
 
 
-def _parse_agent(doc: dict) -> AgentSection:
-    _check_keys(
-        "agent", doc,
-        {"device_type", "batch_sizes", "num_warmup", "num_timed_runs", "poll_interval_ms", "seed",
-         "measurement_command", "measurement_timeout_s", "call_duration_s"},
-    )
-    base = AgentConfig()
-    try:
-        config = AgentConfig(
-            device_type=_get(doc, "device_type", str, base.device_type),
-            batch_sizes=tuple(_get(doc, "batch_sizes", list, list(base.batch_sizes))),
-            num_warmup=_get(doc, "num_warmup", int, base.num_warmup),
-            num_timed_runs=_get(doc, "num_timed_runs", int, base.num_timed_runs),
-            poll_interval_ms=_get(doc, "poll_interval_ms", int, base.poll_interval_ms),
-            seed=_get(doc, "seed", int, base.seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"agent: {exc}") from exc
-    return AgentSection(
-        config=config,
-        measurement_command=_command(doc, "measurement_command"),
-        measurement_timeout_s=_get(doc, "measurement_timeout_s", float, 300.0),
-        call_duration_s=_get(doc, "call_duration_s", float, 0.0),
-    )
+# field types that need more than an isinstance check
+_PARSERS = {tuple[int, ...]: _int_tuple, list[str]: _command, HyperparamSpec: _spec}
 
 
-def _parse_device_profile(doc: dict) -> DeviceProfile:
-    _check_keys(
-        "device_profile", doc,
-        {"name", "base_latency_ms", "ms_per_gflop", "batch_efficiency", "noise_std_ms"},
-    )
-    d = DeviceProfile()
-    try:
-        return DeviceProfile(
-            name=_get(doc, "name", str, d.name),
-            base_latency_ms=_get(doc, "base_latency_ms", float, d.base_latency_ms),
-            ms_per_gflop=_get(doc, "ms_per_gflop", float, d.ms_per_gflop),
-            batch_efficiency=_get(doc, "batch_efficiency", float, d.batch_efficiency),
-            noise_std_ms=_get(doc, "noise_std_ms", float, d.noise_std_ms),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"device_profile: {exc}") from exc
-
-
-def _parse_surrogate(doc: dict) -> SurrogateConfig:
-    _check_keys(
-        "surrogate", doc,
-        {"planted_optimum", "capacity_weight", "distance_weight", "noise_std", "epochs_half_life"},
-    )
-    d = SurrogateConfig()
-    planted = d.planted_optimum
-    if doc.get("planted_optimum") is not None:
+def _convert(where: str, hint, value):
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None parses as X
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if hint in _PARSERS:
         try:
-            planted = decode_spec(json.dumps(doc["planted_optimum"]))
-        except ValueError as exc:
-            raise ConfigError(f"surrogate.planted_optimum: {exc}") from exc
+            return _PARSERS[hint](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    if hint is float and type(value) is int:
+        return float(value)
+    if isinstance(value, hint) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
+
+
+def _parse(cls, section: str, doc, **fixed):
+    """Build dataclass cls from one config section: a key per field, null keeps the default."""
+    doc = _mapping(section, doc)
+    _check_keys(section, doc, {f.name for f in dataclasses.fields(cls)} - set(fixed))
+    hints = typing.get_type_hints(cls)
+    values = {
+        key: _convert(f"{section}.{key}", hints[key], value) for key, value in doc.items() if value is not None
+    }
     try:
-        return SurrogateConfig(
-            planted_optimum=planted,
-            capacity_weight=_get(doc, "capacity_weight", float, d.capacity_weight),
-            distance_weight=_get(doc, "distance_weight", float, d.distance_weight),
-            noise_std=_get(doc, "noise_std", float, d.noise_std),
-            epochs_half_life=_get(doc, "epochs_half_life", float, d.epochs_half_life),
-        )
+        return cls(**values, **fixed)
     except ValueError as exc:
-        raise ConfigError(f"surrogate: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_report(doc: dict) -> ReportSection:
-    _check_keys("report", doc, {"history_csv", "output_dir"})
-    d = ReportSection()
-    return ReportSection(
-        history_csv=_get(doc, "history_csv", str, d.history_csv),
-        output_dir=_get(doc, "output_dir", str, d.output_dir),
-    )
+def _parse_agent(doc) -> AgentSection:
+    """The flat agent section fills AgentConfig and the rest of AgentSection."""
+    doc = _mapping("agent", doc)
+    own = {f.name for f in dataclasses.fields(AgentSection)} - {"config"}
+    config = _parse(AgentConfig, "agent", {k: v for k, v in doc.items() if k not in own})
+    return _parse(AgentSection, "agent", {k: v for k, v in doc.items() if k in own}, config=config)
 
 
 def load_config(path: str | None = None) -> CliConfig:
@@ -202,22 +150,23 @@ def load_config(path: str | None = None) -> CliConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        if loaded is not None and not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a mapping")
-        doc = loaded
-    _check_keys("config", doc, {"store", "run", "agent", "device_profile", "surrogate", "report"})
-    store_doc = doc.get("store") or {}
+        doc = loaded or {}
+    sections = {f.name for f in dataclasses.fields(CliConfig)} - {"store_path"}
+    _check_keys("config", doc, sections | {"store"})
+    store_doc = _mapping("store", doc.get("store"))
     _check_keys("store", store_doc, {"path"})
-    store_path = _get(store_doc, "path", str, DEFAULT_STORE_PATH)
+    store_path = DEFAULT_STORE_PATH
+    if store_doc.get("path") is not None:
+        store_path = _convert("store.path", str, store_doc["path"])
     if ENV_STORE in os.environ:
         store_path = os.environ[ENV_STORE]
     return CliConfig(
         store_path=store_path,
-        run=_parse_run(doc.get("run") or {}),
-        agent=_parse_agent(doc.get("agent") or {}),
-        device_profile=_parse_device_profile(doc.get("device_profile") or {}),
-        surrogate=_parse_surrogate(doc.get("surrogate") or {}),
-        report=_parse_report(doc.get("report") or {}),
+        run=_parse(RunSection, "run", doc.get("run")),
+        agent=_parse_agent(doc.get("agent")),
+        device_profile=_parse(DeviceProfile, "device_profile", doc.get("device_profile")),
+        surrogate=_parse(SurrogateConfig, "surrogate", doc.get("surrogate")),
+        report=_parse(ReportSection, "report", doc.get("report")),
     )
