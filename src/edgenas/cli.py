@@ -13,12 +13,14 @@ latency with 2 decimals plus "ms".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import os
 import sys
 import threading
+from dataclasses import replace
 
 from . import coordinator, edge_agent, optimizer
 from .config import CliConfig, ConfigError, load_config
@@ -31,7 +33,7 @@ from .coordinator import (
 )
 from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
 from .optimizer import RunConfig, pareto_front, top_decile_medians, write_history_csv
-from .search_space import decode
+from .search_space import FIELDS, decode
 from .store import Role, SchemaVersionError, Store, StoreError
 
 logger = logging.getLogger(__name__)
@@ -141,119 +143,92 @@ def _make_backend(cfg: CliConfig):
     return SimulatedBackend(cfg.device_profile, seed=cfg.agent.config.seed, call_duration_s=cfg.agent.call_duration_s)
 
 
-class _EmbeddedAgent:
+@contextlib.contextmanager
+def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
     """In-process agent thread for single-command simulate runs."""
-
-    def __init__(self, store: Store, agent_config: AgentConfig, backend):
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=edge_agent.run_agent_loop,
-            args=(agent_config, store, self._stop, backend),
-            name="embedded-agent",
-            daemon=True,
-        )
-
-    def __enter__(self) -> "_EmbeddedAgent":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=30.0)
-
-
-def _agent_config(cfg: CliConfig, device_type: str | None) -> AgentConfig:
-    base = cfg.agent.config
-    if device_type and device_type != base.device_type:
-        return AgentConfig(
-            device_type=device_type,
-            batch_sizes=base.batch_sizes,
-            num_warmup=base.num_warmup,
-            num_timed_runs=base.num_timed_runs,
-            poll_interval_ms=base.poll_interval_ms,
-            seed=base.seed,
-        )
-    return base
-
-
-def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
-    samples = args.samples if args.samples is not None else cfg.run.samples
-    population = args.population if args.population is not None else cfg.run.population
-    seed = args.seed if args.seed is not None else cfg.run.seed
-    epochs = args.epochs if args.epochs is not None else cfg.run.epochs
+    stop = threading.Event()
+    thread = threading.Thread(
+        target=edge_agent.run_agent_loop,
+        args=(agent_config, store, stop, backend),
+        name="embedded-agent",
+        daemon=True,
+    )
+    thread.start()
     try:
-        run_config = RunConfig(
-            population_size=population,
-            total_evaluations=samples,
-            seed=seed,
-            epochs=epochs,
-            score_batch_size=cfg.run.score_batch_size,
-            measurement_timeout_s=cfg.run.measurement_timeout_s,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    agent_config = _agent_config(cfg, args.device_type)
-    settings = DispatchSettings(
-        device_type=agent_config.device_type,
-        batch_sizes=agent_config.batch_sizes,
-        poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
-    )
-    trainer = _make_trainer(args.mode, cfg)
-    with _open_store(_store_path(args, cfg)) as store:
-        embed = args.mode == "simulate" and not args.no_embedded_agent
-        agent_cm = _EmbeddedAgent(store, agent_config, _make_backend(cfg)) if embed else _NullContext()
-        with agent_cm:
-            try:
-                summary = coordinator.run_nas(
-                    run_config, store, trainer, run_id=args.run_id, settings=settings
-                )
-            except StoreError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        history_csv = args.history_csv or cfg.report.history_csv
-        if history_csv:
-            write_history_csv(summary.history, summary.run_id, history_csv)
-        best = summary.best_breakdown
-        if best is None:
-            print(f"run {summary.run_id}: no successful evaluations "
-                  f"(failures: {summary.failure_counts})", file=sys.stderr)
-            return 1
-        _print_summary_rows(
-            [(samples, best.score, best.val_loss, best.inference_time_ms, best.test_score, best.test_loss)]
-        )
-    return 0
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
 
 
-class _NullContext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
-    agent_config = _agent_config(cfg, args.device_type)
-    settings = DispatchSettings(
-        device_type=agent_config.device_type,
-        batch_sizes=agent_config.batch_sizes,
-        poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
-    )
-    run_config = RunConfig(
-        population_size=1,
-        total_evaluations=1,
+def _run_config(cfg: CliConfig, **flags) -> RunConfig:
+    """The run section as a RunConfig; flags that are not None override it."""
+    values = dict(
+        population_size=cfg.run.population,
+        total_evaluations=cfg.run.samples,
         seed=cfg.run.seed,
         epochs=cfg.run.epochs,
         score_batch_size=cfg.run.score_batch_size,
         measurement_timeout_s=cfg.run.measurement_timeout_s,
     )
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return RunConfig(**values)
+
+
+def _dispatch(args: argparse.Namespace, cfg: CliConfig, job):
+    """job(store, trainer, settings) on the configured store, with the embedded agent unless detached."""
+    agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
+    settings = DispatchSettings(
+        device_type=agent_config.device_type,
+        batch_sizes=agent_config.batch_sizes,
+        poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
+    )
     trainer = _make_trainer(args.mode, cfg)
     with _open_store(_store_path(args, cfg)) as store:
         embed = args.mode == "simulate" and not args.no_embedded_agent
-        agent_cm = _EmbeddedAgent(store, agent_config, _make_backend(cfg)) if embed else _NullContext()
-        with agent_cm:
-            outcome = coordinator.evaluate_baseline(store, trainer, run_config, settings=settings)
+        with _embedded_agent(store, agent_config, _make_backend(cfg)) if embed else contextlib.nullcontext():
+            return job(store, trainer, settings)
+
+
+def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
+    try:
+        run_config = _run_config(
+            cfg, population_size=args.population, total_evaluations=args.samples, seed=args.seed, epochs=args.epochs
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        summary = _dispatch(
+            args, cfg,
+            lambda store, trainer, settings: coordinator.run_nas(
+                run_config, store, trainer, run_id=args.run_id, settings=settings
+            ),
+        )
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    history_csv = args.history_csv or cfg.report.history_csv
+    if history_csv:
+        write_history_csv(summary.history, summary.run_id, history_csv)
+    best = summary.best_breakdown
+    if best is None:
+        print(f"run {summary.run_id}: no successful evaluations "
+              f"(failures: {summary.failure_counts})", file=sys.stderr)
+        return 1
+    _print_summary_rows(
+        [(run_config.total_evaluations, best.score, best.val_loss, best.inference_time_ms,
+          best.test_score, best.test_loss)]
+    )
+    return 0
+
+
+def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
+    run_config = _run_config(cfg, population_size=1, total_evaluations=1)
+    outcome = _dispatch(
+        args, cfg,
+        lambda store, trainer, settings: coordinator.evaluate_baseline(store, trainer, run_config, settings=settings),
+    )
     if outcome.status is not CandidateStatus.OK:
         print(f"baseline evaluation failed: {outcome.status.value}", file=sys.stderr)
         return 1
@@ -309,19 +284,7 @@ def _report_summary(store: Store, run_ids: list[str]) -> int:
         values = [v for v in values if v is not None]
         return sum(values) / len(values) if values else None
 
-    rows = []
-    for budget in sorted(by_budget):
-        entries = by_budget[budget]
-        rows.append(
-            (
-                budget,
-                mean_or_none([e[0] for e in entries]),
-                mean_or_none([e[1] for e in entries]),
-                mean_or_none([e[2] for e in entries]),
-                mean_or_none([e[3] for e in entries]),
-                mean_or_none([e[4] for e in entries]),
-            )
-        )
+    rows = [(budget, *map(mean_or_none, zip(*by_budget[budget]))) for budget in sorted(by_budget)]
     _print_summary_rows(rows)
     baseline_time = next((r[3] for r in rows if r[0] == 0), None)
     if baseline_time is not None:
@@ -361,14 +324,8 @@ def _report_medians(store: Store, run_ids: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"top-decile medians over {len(entries)} candidates ({report.sample_count} selected):")
-    print(f"  patch_size     {list(report.patch_size)}")
-    print(f"  embed_dim      {report.embed_dim}")
-    print(f"  depths         {list(report.depths)}")
-    print(f"  heads          {list(report.heads)}")
-    print(f"  mlp_ratio      {report.mlp_ratio}")
-    print(f"  learning_rate  {report.learning_rate:.4g}")
-    print(f"  lr_step_size   {report.lr_step_size}")
-    print(f"  lr_gamma       {report.lr_gamma:.4f}")
+    for f in FIELDS:
+        print(f"  {f.name:<15}{format(f.to_document(getattr(report, f.name)), f.report_format)}")
     return 0
 
 
@@ -383,7 +340,7 @@ def _cmd_report(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_agent(args: argparse.Namespace, cfg: CliConfig) -> int:
-    agent_config = _agent_config(cfg, args.device_type)
+    agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     backend = _make_backend(cfg)
     stop = threading.Event()
     with _open_store(_store_path(args, cfg)) as store:

@@ -14,11 +14,12 @@ import logging
 import random
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol
 
 from .cost_model import SurrogateConfig, synthetic_val_loss
+from .edge_agent import AgentConfig
 from .optimizer import (
     EvalContext,
     EvaluationFailed,
@@ -118,8 +119,8 @@ class CandidateOutcome:
 class DispatchSettings:
     """Store-facing knobs shared by every candidate of a run."""
 
-    device_type: str = "sim-edge"
-    batch_sizes: tuple[int, ...] = (1, 2, 4, 8)
+    device_type: str = AgentConfig.device_type
+    batch_sizes: tuple[int, ...] = AgentConfig.batch_sizes
     poll_interval_s: float = DEFAULT_POLL_INTERVAL_S
 
 
@@ -183,31 +184,20 @@ def dispatch_candidate(
     by_batch = {m.batch_size: m for m in measurements}
     inference_time_ms = by_batch[run_config.score_batch_size].latency_ms_mean
     breakdown = ScoreBreakdown.from_losses(val_loss, inference_time_ms, test_loss)
-    store.insert_benchmark_result(
-        Role.OPTIMIZER,
-        BenchmarkResult(
-            architecture_id=architecture_id,
-            run_id=run_id,
-            epoch=run_config.epochs,
-            val_loss=val_loss,
-            inference_time_ms=inference_time_ms,
-            score=breakdown.score,
-            split="validation",
-        ),
-    )
-    if test_loss is not None:
-        store.insert_benchmark_result(
-            Role.OPTIMIZER,
-            BenchmarkResult(
-                architecture_id=architecture_id,
-                run_id=run_id,
-                epoch=run_config.epochs,
-                val_loss=test_loss,
-                inference_time_ms=inference_time_ms,
-                score=breakdown.test_score,
-                split="test",
-            ),
-        )
+    for split, loss, score in (("validation", val_loss, breakdown.score), ("test", test_loss, breakdown.test_score)):
+        if loss is not None:
+            store.insert_benchmark_result(
+                Role.OPTIMIZER,
+                BenchmarkResult(
+                    architecture_id=architecture_id,
+                    run_id=run_id,
+                    epoch=run_config.epochs,
+                    val_loss=loss,
+                    inference_time_ms=inference_time_ms,
+                    score=score,
+                    split=split,
+                ),
+            )
     total_wall_ms = (time.perf_counter() - started) * 1000.0
     timings = CandidateTimings(train_wall_ms, measure_wait_ms, total_wall_ms)
     return CandidateOutcome(architecture_id, spec, breakdown, timings, CandidateStatus.OK)
@@ -235,7 +225,6 @@ def run_nas(
     """One full NAS run: EA driving dispatch_candidate, metadata persisted."""
     store.ping()
     run_id = run_id or default_run_id(run_config)
-    started_at = utc_now()
     started = time.perf_counter()
     config_document = json.dumps(
         {
@@ -249,10 +238,8 @@ def run_nas(
         },
         sort_keys=True,
     )
-    store.upsert_run_metadata(
-        Role.OPTIMIZER,
-        RunMetadata(run_id=run_id, config_document=config_document, seed=run_config.seed, started_at=started_at),
-    )
+    metadata = RunMetadata(run_id, config_document, seed=run_config.seed, started_at=utc_now())
+    store.upsert_run_metadata(Role.OPTIMIZER, metadata)
 
     failure_counts: dict[str, int] = {}
 
@@ -279,15 +266,7 @@ def run_nas(
         sort_keys=True,
     )
     store.upsert_run_metadata(
-        Role.OPTIMIZER,
-        RunMetadata(
-            run_id=run_id,
-            config_document=config_document,
-            seed=run_config.seed,
-            started_at=started_at,
-            finished_at=utc_now(),
-            summary_document=summary_document,
-        ),
+        Role.OPTIMIZER, replace(metadata, finished_at=utc_now(), summary_document=summary_document)
     )
     return RunSummary(
         run_id=run_id,

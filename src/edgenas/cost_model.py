@@ -45,14 +45,6 @@ class CostModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class ArchCost:
-    """Parameter count and forward-pass GFLOPs (multiply-accumulates)."""
-
-    param_count: int
-    flops: float
-
-
-@dataclass(frozen=True)
 class DeviceProfile:
     """Affine latency model of a simulated edge device."""
 
@@ -165,10 +157,6 @@ def flops_estimate(
         tokens //= 4
     macs += e * 8 * num_outputs  # head
     return macs / 1e9
-
-
-def arch_cost(spec: HyperparamSpec, **kwargs) -> ArchCost:
-    return ArchCost(param_count=param_count(spec), flops=flops_estimate(spec, **kwargs))
 
 
 def synthetic_latency(

@@ -9,7 +9,6 @@ otherwise-idle device.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from . import cost_model
+from .optimizer import derive_seed
 from .search_space import DocumentError, HyperparamSpec, decode, to_document_dict
 from .store import EdgeMeasurement, Role, Store, StoreError
 
@@ -68,11 +68,6 @@ class MeasurementBackend(Protocol):
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample: ...
 
 
-def _derive_rng(*parts) -> random.Random:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
@@ -93,7 +88,7 @@ class SimulatedBackend:
         key = (json.dumps(to_document_dict(spec), sort_keys=True), batch_size)
         rng = self._streams.get(key)
         if rng is None:
-            rng = self._streams[key] = _derive_rng(self.seed, *key)
+            rng = self._streams[key] = random.Random(derive_seed(self.seed, *key))
         latency = cost_model.synthetic_latency(spec, batch_size, self.profile, rng)
         # synthetic placeholders for the auxiliary metrics
         memory_mb = cost_model.param_count(spec) * 4 / 1e6
@@ -157,10 +152,6 @@ class ExternalBackend:
             return InferenceSample(latency_ms=float(text.splitlines()[0]))
         except ValueError as exc:
             raise BackendError(f"unparseable measurement output: {text.splitlines()[0]!r}") from exc
-
-
-def external_backend(command: list[str], timeout_s: float = 300.0) -> ExternalBackend:
-    return ExternalBackend(command, timeout_s=timeout_s)
 
 
 def measure(

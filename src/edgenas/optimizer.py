@@ -18,12 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .search_space import FIELDS, HyperparamSpec, mutate, sample
+from .search_space import FIELDS, HyperparamSpec, mutate, sample, to_document_dict
 
 LOSS_WEIGHT = 1000.0
 
 HISTORY_CSV_COLUMNS = ",".join(
-    ["run_id", "lineage", "round", *(c for f in FIELDS for c in f.columns),
+    ["run_id", "lineage", "round", *(c for f in FIELDS for c in f.columns or (f.name,)),
      "val_loss", "inference_ms", "score", "accepted"]
 )
 
@@ -274,6 +274,13 @@ def top_decile_medians(source) -> MedianReport:
     return MedianReport(**medians, sample_count=k)
 
 
+def _spec_cells(spec: HyperparamSpec) -> list:
+    cells = []
+    for value in to_document_dict(spec).values():
+        cells.extend(value if isinstance(value, list) else [value])
+    return cells
+
+
 def write_history_csv(history: RunHistory, run_id: str, path) -> None:
     """One row per evaluation, stable column contract, byte-deterministic."""
     with open(path, "w", newline="") as fh:
@@ -286,7 +293,7 @@ def write_history_csv(history: RunHistory, run_id: str, path) -> None:
                     run_id,
                     r.lineage_id,
                     r.round_index,
-                    *(cell for f in FIELDS for cell in f.cells(getattr(r.spec, f.name))),
+                    *_spec_cells(r.spec),
                     repr(r.breakdown.val_loss) if ok else "",
                     repr(r.breakdown.inference_time_ms) if ok else "",
                     repr(r.breakdown.score) if ok else "inf",

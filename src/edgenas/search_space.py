@@ -56,11 +56,8 @@ class Choice:
 
     name: str
     choices: tuple[int, ...]
-    columns: tuple[str, ...] = ()  # history-CSV columns; default (name,)
-
-    def __post_init__(self):
-        if not self.columns:
-            object.__setattr__(self, "columns", (self.name,))
+    columns: tuple[str, ...] = ()  # history-CSV columns; empty means (name,)
+    report_format = ""  # format spec of the value in printed reports
 
     def sample(self, rng: random.Random):
         return rng.choice(self.choices)
@@ -83,9 +80,6 @@ class Choice:
     def to_document(self, value):
         return value
 
-    def cells(self, value) -> list:
-        return [value]
-
     def mismatches(self, a, b) -> int:
         return int(a != b)
 
@@ -104,6 +98,7 @@ class ChoiceVector:
     choices: tuple[int, ...]
     length: int
     columns: tuple[str, ...]
+    report_format = ""
 
     def sample(self, rng: random.Random):
         return tuple(rng.choice(self.choices) for _ in range(self.length))
@@ -138,9 +133,6 @@ class ChoiceVector:
     def to_document(self, value):
         return list(value)
 
-    def cells(self, value) -> list:
-        return list(value)
-
     def mismatches(self, a, b) -> int:
         return sum(x != y for x, y in zip(a, b))
 
@@ -158,11 +150,7 @@ class _Real:
     name: str
     bounds: tuple[float, float]
     sigma: float
-    columns: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.columns:
-            object.__setattr__(self, "columns", (self.name,))
+    columns: tuple[str, ...] = ()  # history-CSV columns; empty means (name,)
 
     def decode(self, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -171,9 +159,6 @@ class _Real:
 
     def to_document(self, value):
         return value
-
-    def cells(self, value) -> list:
-        return [value]
 
     def mismatches(self, a, b) -> int:
         return 0
@@ -184,6 +169,8 @@ class _Real:
 
 class LogUniform(_Real):
     """Closed range sampled log-uniformly; mutation scales by 10**N(0, sigma)."""
+
+    report_format = ".4g"
 
     def sample(self, rng: random.Random):
         return 10.0 ** rng.uniform(math.log10(self.bounds[0]), math.log10(self.bounds[1]))
@@ -206,6 +193,8 @@ class LogUniform(_Real):
 
 class OpenUniform(_Real):
     """Open range sampled uniformly; mutation adds N(0, sigma), kept inside the bounds."""
+
+    report_format = ".4f"
 
     def sample(self, rng: random.Random):
         return self.project(rng.uniform(*self.bounds), rng)
@@ -239,18 +228,18 @@ FIELDS = (
 
 #: Stable document field names; external trainers and the store rely on them.
 FIELD_NAMES = tuple(f.name for f in FIELDS)
-FIELD_BY_NAME = dict(zip(FIELD_NAMES, FIELDS))
-PATCH_CHOICES = FIELD_BY_NAME["patch_size"].choices
-EMBED_DIM_CHOICES = FIELD_BY_NAME["embed_dim"].choices
-DEPTH_CHOICES = FIELD_BY_NAME["depths"].choices
-HEAD_CHOICES = FIELD_BY_NAME["heads"].choices
-MLP_RATIO_CHOICES = FIELD_BY_NAME["mlp_ratio"].choices
-LR_STEP_CHOICES = FIELD_BY_NAME["lr_step_size"].choices
+_BY_NAME = dict(zip(FIELD_NAMES, FIELDS))
+PATCH_CHOICES = _BY_NAME["patch_size"].choices
+EMBED_DIM_CHOICES = _BY_NAME["embed_dim"].choices
+DEPTH_CHOICES = _BY_NAME["depths"].choices
+HEAD_CHOICES = _BY_NAME["heads"].choices
+MLP_RATIO_CHOICES = _BY_NAME["mlp_ratio"].choices
+LR_STEP_CHOICES = _BY_NAME["lr_step_size"].choices
 
 # Projection resamples embed_dim and depths before the other fields; seeded
 # runs depend on this RNG draw order.
 _PROJECTED_FIRST = ("embed_dim", "depths")
-_PROJECTION_ORDER = [FIELD_BY_NAME[name] for name in _PROJECTED_FIRST] + [
+_PROJECTION_ORDER = [_BY_NAME[name] for name in _PROJECTED_FIRST] + [
     f for f in FIELDS if f.name not in _PROJECTED_FIRST
 ]
 

@@ -11,6 +11,7 @@ share across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import os
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 
+from .optimizer import LOSS_WEIGHT
 from .search_space import DocumentError, decode, validate
 
 SCHEMA_VERSION = 1
@@ -110,6 +112,38 @@ class RunMetadata:
     summary_document: str | None = None
 
 
+def _from_row(cls, row: sqlite3.Row, prefix: str = ""):
+    """The record dataclass cls from a row with one column, prefix + name, per field."""
+    return cls(**{f.name: row[prefix + f.name] for f in dataclasses.fields(cls)})
+
+
+def _insert_sql(table: str, cls, conflict_key: tuple[str, ...] = ()) -> tuple[list[str], str]:
+    """Columns (every field but id) and INSERT statement for the record dataclass cls.
+
+    With conflict_key, a row with the same key is updated in place.
+    """
+    columns = [f.name for f in dataclasses.fields(cls) if f.name != "id"]
+    sql = f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({', '.join('?' * len(columns))})"
+    if conflict_key:
+        updates = ", ".join(f"{c} = excluded.{c}" for c in columns if c not in conflict_key)
+        sql += f" ON CONFLICT({', '.join(conflict_key)}) DO UPDATE SET {updates}"
+    return columns, sql
+
+
+_MEASUREMENT_INSERT = _insert_sql(
+    "edge_measurement", EdgeMeasurement, ("architecture_id", "device_type", "batch_size")
+)
+_RESULT_INSERT = _insert_sql("benchmark_result", BenchmarkResult)
+_RUN_INSERT = _insert_sql("run_metadata", RunMetadata, ("run_id",))
+_RESULT_COLUMNS = ", ".join(f"b.{f.name} AS b_{f.name}" for f in dataclasses.fields(BenchmarkResult))
+
+
+def _integrity_error(exc: sqlite3.IntegrityError, architecture_id: int) -> StoreError:
+    if "FOREIGN KEY" in str(exc):
+        return UnknownArchitectureError(f"architecture {architecture_id} does not exist")
+    return ValidationError(str(exc))
+
+
 def _schema_sql() -> str:
     return resources.files("edgenas").joinpath("schema.sql").read_text(encoding="utf-8")
 
@@ -185,6 +219,11 @@ class Store:
         if role != allowed:
             raise PermissionDeniedError(f"role {role.value!r} may not insert into {table}")
 
+    def _insert(self, insert: tuple[list[str], str], record, **stamps) -> sqlite3.Cursor:
+        columns, sql = insert
+        values = {**vars(record), **stamps}
+        return self._conn.execute(sql, [values[c] for c in columns])
+
     # -- network_architecture ------------------------------------------------
 
     def insert_architecture(self, role: Role, record: ArchitectureRecord) -> int:
@@ -217,11 +256,18 @@ class Store:
         self,
         role: Role,
         device_type: str,
-        batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
+        batch_sizes: tuple[int, ...] | None = None,
         limit: int | None = None,
     ) -> list[ArchitectureRecord]:
-        """Architectures targeting device_type that miss any configured batch size."""
+        """Architectures targeting device_type that miss any configured batch size.
+
+        batch_sizes defaults to those of a default AgentConfig.
+        """
         del role  # every role may read
+        if batch_sizes is None:
+            from .edge_agent import AgentConfig  # edge_agent imports this module
+
+            batch_sizes = AgentConfig.batch_sizes
         placeholders = ",".join("?" for _ in batch_sizes)
         sql = (
             "SELECT a.* FROM network_architecture a"
@@ -241,14 +287,9 @@ class Store:
 
     @staticmethod
     def _architecture_from_row(row: sqlite3.Row) -> ArchitectureRecord:
-        return ArchitectureRecord(
-            run_id=row["run_id"],
-            lineage_id=row["lineage_id"],
-            spec_document=row["spec_document"],
-            device_targets=json.loads(row["device_targets"]),
-            created_at=row["created_at"],
-            id=row["id"],
-        )
+        record = _from_row(ArchitectureRecord, row)
+        record.device_targets = json.loads(record.device_targets)
+        return record
 
     def get_architecture(self, architecture_id: int) -> ArchitectureRecord | None:
         with self._lock, self._conn:
@@ -267,48 +308,16 @@ class Store:
             raise ValidationError("latency_ms_mean must be > 0")
         if measurement.latency_ms_std < 0:
             raise ValidationError("latency_ms_std must be >= 0")
-        measured_at = measurement.measured_at or utc_now()
         try:
             with self._lock, self._conn:
-                self._conn.execute(
-                    "INSERT INTO edge_measurement"
-                    " (architecture_id, device_type, batch_size, latency_ms_mean, latency_ms_std,"
-                    "  num_runs, num_warmup, memory_mb, cpu_util, gpu_util, measured_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(architecture_id, device_type, batch_size) DO UPDATE SET"
-                    "  latency_ms_mean = excluded.latency_ms_mean,"
-                    "  latency_ms_std = excluded.latency_ms_std,"
-                    "  num_runs = excluded.num_runs,"
-                    "  num_warmup = excluded.num_warmup,"
-                    "  memory_mb = excluded.memory_mb,"
-                    "  cpu_util = excluded.cpu_util,"
-                    "  gpu_util = excluded.gpu_util,"
-                    "  measured_at = excluded.measured_at",
-                    (
-                        measurement.architecture_id,
-                        measurement.device_type,
-                        measurement.batch_size,
-                        measurement.latency_ms_mean,
-                        measurement.latency_ms_std,
-                        measurement.num_runs,
-                        measurement.num_warmup,
-                        measurement.memory_mb,
-                        measurement.cpu_util,
-                        measurement.gpu_util,
-                        measured_at,
-                    ),
-                )
+                self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
                 row = self._conn.execute(
                     "SELECT id FROM edge_measurement"
                     " WHERE architecture_id = ? AND device_type = ? AND batch_size = ?",
                     (measurement.architecture_id, measurement.device_type, measurement.batch_size),
                 ).fetchone()
         except sqlite3.IntegrityError as exc:
-            if "FOREIGN KEY" in str(exc):
-                raise UnknownArchitectureError(
-                    f"architecture {measurement.architecture_id} does not exist"
-                ) from exc
-            raise ValidationError(str(exc)) from exc
+            raise _integrity_error(exc, measurement.architecture_id) from exc
         return row["id"]
 
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
@@ -318,122 +327,48 @@ class Store:
                 " ORDER BY batch_size ASC",
                 (architecture_id, device_type),
             ).fetchall()
-        return [
-            EdgeMeasurement(
-                architecture_id=r["architecture_id"],
-                device_type=r["device_type"],
-                batch_size=r["batch_size"],
-                latency_ms_mean=r["latency_ms_mean"],
-                latency_ms_std=r["latency_ms_std"],
-                num_runs=r["num_runs"],
-                num_warmup=r["num_warmup"],
-                memory_mb=r["memory_mb"],
-                cpu_util=r["cpu_util"],
-                gpu_util=r["gpu_util"],
-                measured_at=r["measured_at"],
-                id=r["id"],
-            )
-            for r in rows
-        ]
+        return [_from_row(EdgeMeasurement, r) for r in rows]
 
     # -- benchmark_result ----------------------------------------------------
 
     def insert_benchmark_result(self, role: Role, result: BenchmarkResult) -> int:
         self._require(role, Role.OPTIMIZER, "benchmark_result")
-        expected = result.val_loss * 1000.0 + result.inference_time_ms
+        expected = result.val_loss * LOSS_WEIGHT + result.inference_time_ms
         if abs(result.score - expected) > SCORE_TOLERANCE:
             raise ConsistencyError(
                 f"score {result.score!r} != val_loss*1000 + inference_time_ms = {expected!r}"
             )
         if result.split not in ("validation", "test"):
             raise ValidationError(f"split must be 'validation' or 'test', got {result.split!r}")
-        created_at = result.created_at or utc_now()
         try:
             with self._lock, self._conn:
-                cur = self._conn.execute(
-                    "INSERT INTO benchmark_result"
-                    " (architecture_id, run_id, epoch, val_loss, inference_time_ms, score, split, created_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        result.architecture_id,
-                        result.run_id,
-                        result.epoch,
-                        result.val_loss,
-                        result.inference_time_ms,
-                        result.score,
-                        result.split,
-                        created_at,
-                    ),
-                )
+                cur = self._insert(_RESULT_INSERT, result, created_at=result.created_at or utc_now())
         except sqlite3.IntegrityError as exc:
-            if "FOREIGN KEY" in str(exc):
-                raise UnknownArchitectureError(f"architecture {result.architecture_id} does not exist") from exc
-            raise ValidationError(str(exc)) from exc
+            raise _integrity_error(exc, result.architecture_id) from exc
         return cur.lastrowid
 
     def query_results(self, run_id: str) -> list[tuple[BenchmarkResult, ArchitectureRecord]]:
         """Full evaluation trace of a run, joined with the architectures."""
         with self._lock, self._conn:
             rows = self._conn.execute(
-                "SELECT b.id AS b_id, b.architecture_id, b.run_id AS b_run_id, b.epoch, b.val_loss,"
-                "       b.inference_time_ms, b.score, b.split, b.created_at AS b_created_at, a.*"
+                f"SELECT {_RESULT_COLUMNS}, a.*"
                 " FROM benchmark_result b JOIN network_architecture a ON b.architecture_id = a.id"
                 " WHERE b.run_id = ? ORDER BY b.id ASC",
                 (run_id,),
             ).fetchall()
-        out = []
-        for r in rows:
-            result = BenchmarkResult(
-                architecture_id=r["architecture_id"],
-                run_id=r["b_run_id"],
-                epoch=r["epoch"],
-                val_loss=r["val_loss"],
-                inference_time_ms=r["inference_time_ms"],
-                score=r["score"],
-                split=r["split"],
-                created_at=r["b_created_at"],
-                id=r["b_id"],
-            )
-            out.append((result, self._architecture_from_row(r)))
-        return out
+        return [(_from_row(BenchmarkResult, r, "b_"), self._architecture_from_row(r)) for r in rows]
 
     # -- run_metadata ----------------------------------------------------------
 
     def upsert_run_metadata(self, role: Role, metadata: RunMetadata) -> None:
         self._require(role, Role.OPTIMIZER, "run_metadata")
         with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO run_metadata (run_id, config_document, seed, started_at, finished_at, summary_document)"
-                " VALUES (?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(run_id) DO UPDATE SET"
-                "  config_document = excluded.config_document,"
-                "  seed = excluded.seed,"
-                "  started_at = excluded.started_at,"
-                "  finished_at = excluded.finished_at,"
-                "  summary_document = excluded.summary_document",
-                (
-                    metadata.run_id,
-                    metadata.config_document,
-                    metadata.seed,
-                    metadata.started_at or utc_now(),
-                    metadata.finished_at,
-                    metadata.summary_document,
-                ),
-            )
+            self._insert(_RUN_INSERT, metadata, started_at=metadata.started_at or utc_now())
 
     def get_run_metadata(self, run_id: str) -> RunMetadata | None:
         with self._lock, self._conn:
             row = self._conn.execute("SELECT * FROM run_metadata WHERE run_id = ?", (run_id,)).fetchone()
-        if row is None:
-            return None
-        return RunMetadata(
-            run_id=row["run_id"],
-            config_document=row["config_document"],
-            seed=row["seed"],
-            started_at=row["started_at"],
-            finished_at=row["finished_at"],
-            summary_document=row["summary_document"],
-        )
+        return _from_row(RunMetadata, row) if row else None
 
     def list_run_ids(self) -> list[str]:
         with self._lock, self._conn:

@@ -14,7 +14,6 @@ from edgenas.edge_agent import (
     ExternalBackend,
     InferenceSample,
     SimulatedBackend,
-    external_backend,
     measure,
     run_agent_loop,
 )
@@ -204,14 +203,14 @@ def _stub(script: str) -> list[str]:
 
 
 def test_external_backend_plain_decimal_output():
-    backend = external_backend(_stub("print('42.0')"))
+    backend = ExternalBackend(_stub("print('42.0')"))
     sample_value = backend.time_inference(default_config(), 1)
     assert sample_value.latency_ms == 42.0
 
 
 def test_external_backend_json_document_output():
     script = "print('{\"latency_ms\": 17.5, \"memory_mb\": 100.0, \"gpu_util\": 80.0}')"
-    backend = external_backend(_stub(script))
+    backend = ExternalBackend(_stub(script))
     result = backend.time_inference(default_config(), 4)
     assert result.latency_ms == 17.5
     assert result.memory_mb == 100.0
@@ -224,25 +223,25 @@ def test_external_backend_receives_spec_and_batch_on_stdin():
         "doc = json.load(sys.stdin)\n"
         "print(float(doc['batch_size']) * doc['embed_dim'])\n"
     )
-    backend = external_backend(_stub(script))
+    backend = ExternalBackend(_stub(script))
     result = backend.time_inference(default_config(), 4)
     assert result.latency_ms == 4 * 96.0
 
 
 def test_external_backend_nonzero_exit_is_failure():
-    backend = external_backend(_stub("import sys; sys.exit(1)"))
+    backend = ExternalBackend(_stub("import sys; sys.exit(1)"))
     with pytest.raises(BackendError, match="exited 1"):
         backend.time_inference(default_config(), 1)
 
 
 def test_external_backend_unparseable_output_is_failure():
-    backend = external_backend(_stub("print('abc')"))
+    backend = ExternalBackend(_stub("print('abc')"))
     with pytest.raises(BackendError, match="unparseable"):
         backend.time_inference(default_config(), 1)
 
 
 def test_external_backend_missing_latency_field_is_failure():
-    backend = external_backend(_stub("print('{\"memory_mb\": 3}')"))
+    backend = ExternalBackend(_stub("print('{\"memory_mb\": 3}')"))
     with pytest.raises(BackendError, match="latency_ms"):
         backend.time_inference(default_config(), 1)
 
