@@ -81,27 +81,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("init-store", help="create the store schema (idempotent)")
 
-    run = sub.add_parser("run", help="execute one NAS search")
-    run.add_argument("--samples", type=int, help="total evaluation budget")
-    run.add_argument("--population", type=int, help="number of parallel lineages")
-    run.add_argument("--seed", type=int, help="run seed")
-    run.add_argument("--mode", choices=["simulate", "external"], default="simulate")
-    run.add_argument("--run-id", help="explicit run id (default derived from seed/budget)")
-    run.add_argument("--device-type", help="edge device type to target")
-    run.add_argument("--epochs", type=int, help="training epochs per candidate")
-    run.add_argument("--history-csv", help="write the evaluation trace CSV here")
-    run.add_argument(
+    # options of the commands that dispatch candidates (see _dispatch)
+    dispatch = argparse.ArgumentParser(add_help=False)
+    dispatch.add_argument("--mode", choices=["simulate", "external"], default="simulate")
+    dispatch.add_argument("--device-type", help="edge device type to target")
+    dispatch.add_argument(
         "--no-embedded-agent", action="store_true",
         help="do not start the in-process agent; an external agent must serve measurements",
     )
 
-    baseline = sub.add_parser("baseline", help="evaluate the expert default configuration")
-    baseline.add_argument("--mode", choices=["simulate", "external"], default="simulate")
-    baseline.add_argument("--device-type", help="edge device type to target")
-    baseline.add_argument(
-        "--no-embedded-agent", action="store_true",
-        help="do not start the in-process agent",
-    )
+    run = sub.add_parser("run", parents=[dispatch], help="execute one NAS search")
+    run.add_argument("--samples", type=int, help="total evaluation budget")
+    run.add_argument("--population", type=int, help="number of parallel lineages")
+    run.add_argument("--seed", type=int, help="run seed")
+    run.add_argument("--run-id", help="explicit run id (default derived from seed/budget)")
+    run.add_argument("--epochs", type=int, help="training epochs per candidate")
+    run.add_argument("--history-csv", help="write the evaluation trace CSV here")
+
+    sub.add_parser("baseline", parents=[dispatch], help="evaluate the expert default configuration")
 
     report = sub.add_parser("report", help="summaries, Pareto CSVs, median analysis")
     report.add_argument("kind", choices=["summary", "pareto", "medians"])
