@@ -8,6 +8,7 @@ flag > environment > file > default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import types
@@ -117,11 +118,16 @@ def _convert(where: str, hint, value):
     raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)  # evaluates every annotation: slow, so once per class
+
+
 def _parse(cls, section: str, doc, **fixed):
     """Build dataclass cls from one config section: a key per field, null keeps the default."""
     doc = _mapping(section, doc)
     _check_keys(section, doc, {f.name for f in dataclasses.fields(cls)} - set(fixed))
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {
         key: _convert(f"{section}.{key}", hints[key], value) for key, value in doc.items() if value is not None
     }

@@ -5,10 +5,11 @@ transformer (patch size, embedding width, stage depths, head counts, MLP
 ratio) plus three optimizer knobs (learning rate, scheduler step, decay
 factor). All functions are pure; the caller owns the RNG.
 
-FIELDS describes each field once: its kind, choices or bounds, vector
-length and history-CSV columns. Sampling, mutation, validation, the spec
-document, spec distances, medians and the history CSV all loop over it, so
-adding a field means one FIELDS row plus one HyperparamSpec attribute.
+FIELDS describes each field once: its kind (the row's class), choices or
+bounds, and history-CSV columns, one per entry of a vector. Sampling,
+mutation, validation, the spec document, spec distances, medians and the
+history CSV all loop over it, so adding a field means one FIELDS row plus
+one HyperparamSpec attribute.
 """
 
 from __future__ import annotations
@@ -96,9 +97,12 @@ class ChoiceVector:
 
     name: str
     choices: tuple[int, ...]
-    length: int
-    columns: tuple[str, ...]
+    columns: tuple[str, ...]  # one history-CSV column per entry
     report_format = ""
+
+    @property
+    def length(self) -> int:
+        return len(self.columns)
 
     def sample(self, rng: random.Random):
         return tuple(rng.choice(self.choices) for _ in range(self.length))
@@ -216,13 +220,13 @@ class OpenUniform(_Real):
 
 #: The sampling domain, in the order of the published document fields.
 FIELDS = (
-    ChoiceVector("patch_size", (2, 4), 3, ("patch_t", "patch_h", "patch_w")),
+    ChoiceVector("patch_size", (2, 4), columns=("patch_t", "patch_h", "patch_w")),
     Choice("embed_dim", (24, 48)),
-    ChoiceVector("depths", (1, 2, 4), 4, ("d0", "d1", "d2", "d3")),
-    ChoiceVector("heads", (3, 6, 12, 24), 4, ("h0", "h1", "h2", "h3")),
+    ChoiceVector("depths", (1, 2, 4), columns=("d0", "d1", "d2", "d3")),
+    ChoiceVector("heads", (3, 6, 12, 24), columns=("h0", "h1", "h2", "h3")),
     Choice("mlp_ratio", (1, 2, 3, 4)),
     LogUniform("learning_rate", (1e-5, 1.0), sigma=0.5, columns=("lr",)),
-    Choice("lr_step_size", (10, 20, 40), ("lr_step",)),
+    Choice("lr_step_size", (10, 20, 40), columns=("lr_step",)),
     OpenUniform("lr_gamma", (0.1, 0.9), sigma=0.1),
 )
 
