@@ -190,7 +190,8 @@ def _dispatch(args: argparse.Namespace, cfg: CliConfig, job):
 def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
         run_config = _run_config(
-            cfg, population_size=args.population, total_evaluations=args.samples, seed=args.seed, epochs=args.epochs
+            cfg, population_size=args.population, total_evaluations=args.samples,
+            seed=args.seed, epochs=args.epochs,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -224,7 +225,9 @@ def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
     run_config = _run_config(cfg, population_size=1, total_evaluations=1)
     outcome = _dispatch(
         args, cfg,
-        lambda store, trainer, settings: coordinator.evaluate_baseline(store, trainer, run_config, settings=settings),
+        lambda store, trainer, settings: coordinator.evaluate_baseline(
+            store, trainer, run_config, settings=settings
+        ),
     )
     if outcome.status is not CandidateStatus.OK:
         print(f"baseline evaluation failed: {outcome.status.value}", file=sys.stderr)

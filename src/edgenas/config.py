@@ -118,9 +118,8 @@ def _convert(where: str, hint, value):
     raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
 
 
-@functools.cache
-def _type_hints(cls) -> dict:
-    return typing.get_type_hints(cls)  # evaluates every annotation: slow, so once per class
+# get_type_hints evaluates every annotation on each call: resolve each class once
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _parse(cls, section: str, doc, **fixed):

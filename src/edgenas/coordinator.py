@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import random
-import subprocess
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol
 
 from .cost_model import SurrogateConfig, synthetic_val_loss
-from .edge_agent import AgentConfig
+from .edge_agent import AgentConfig, run_command
 from .optimizer import (
     EvalContext,
     EvaluationFailed,
@@ -74,22 +73,13 @@ class ExternalTrainer:
 
     def train_and_validate(self, spec: HyperparamSpec, epochs: int, seed: int) -> tuple[float, float | None]:
         payload = json.dumps({**to_document_dict(spec), "epochs": epochs, "seed": seed})
+        output = run_command(self.command, payload, self.timeout_s, "trainer", TrainerError).strip()
         try:
-            proc = subprocess.run(
-                self.command, input=payload, capture_output=True, text=True, timeout=self.timeout_s
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise TrainerError(f"trainer timed out after {self.timeout_s}s") from exc
-        except OSError as exc:
-            raise TrainerError(f"trainer failed to start: {exc}") from exc
-        if proc.returncode != 0:
-            raise TrainerError(f"trainer exited {proc.returncode}: {proc.stderr.strip()}")
-        try:
-            doc = json.loads(proc.stdout.strip())
+            doc = json.loads(output)
             val_loss = float(doc["val_loss"])
             test_loss = float(doc["test_loss"]) if "test_loss" in doc else None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TrainerError(f"unparseable trainer output: {proc.stdout.strip()!r}") from exc
+            raise TrainerError(f"unparseable trainer output: {output!r}") from exc
         return val_loss, test_loss
 
 
@@ -184,7 +174,8 @@ def dispatch_candidate(
     by_batch = {m.batch_size: m for m in measurements}
     inference_time_ms = by_batch[run_config.score_batch_size].latency_ms_mean
     breakdown = ScoreBreakdown.from_losses(val_loss, inference_time_ms, test_loss)
-    for split, loss, score in (("validation", val_loss, breakdown.score), ("test", test_loss, breakdown.test_score)):
+    splits = (("validation", val_loss, breakdown.score), ("test", test_loss, breakdown.test_score))
+    for split, loss, score in splits:
         if loss is not None:
             store.insert_benchmark_result(
                 Role.OPTIMIZER,

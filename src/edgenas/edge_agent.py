@@ -68,6 +68,19 @@ class MeasurementBackend(Protocol):
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample: ...
 
 
+def run_command(command: list[str], payload: str, timeout_s: float, label: str, error: type[Exception]) -> str:
+    """Stdout of command run with payload on stdin; a timeout, start failure or nonzero exit raises error."""
+    try:
+        proc = subprocess.run(command, input=payload, capture_output=True, text=True, timeout=timeout_s)
+    except subprocess.TimeoutExpired as exc:
+        raise error(f"{label} timed out after {timeout_s}s") from exc
+    except OSError as exc:
+        raise error(f"{label} failed to start: {exc}") from exc
+    if proc.returncode != 0:
+        raise error(f"{label} exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
@@ -111,21 +124,9 @@ class ExternalBackend:
 
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample:
         payload = json.dumps({**to_document_dict(spec), "batch_size": batch_size})
-        try:
-            proc = subprocess.run(
-                self.command,
-                input=payload,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout_s,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise BackendError(f"measurement command timed out after {self.timeout_s}s") from exc
-        except OSError as exc:
-            raise BackendError(f"measurement command failed to start: {exc}") from exc
-        if proc.returncode != 0:
-            raise BackendError(f"measurement command exited {proc.returncode}: {proc.stderr.strip()}")
-        return self._parse_output(proc.stdout)
+        return self._parse_output(
+            run_command(self.command, payload, self.timeout_s, "measurement command", BackendError)
+        )
 
     @staticmethod
     def _parse_output(output: str) -> InferenceSample:

@@ -218,7 +218,7 @@ class OpenUniform(_Real):
         return abs(a - b) / (self.bounds[1] - self.bounds[0])
 
 
-#: The sampling domain, in the order of the published document fields.
+#: The sampling domain, in the order of HyperparamSpec's attributes and of the document fields.
 FIELDS = (
     ChoiceVector("patch_size", (2, 4), columns=("patch_t", "patch_h", "patch_w")),
     Choice("embed_dim", (24, 48)),
