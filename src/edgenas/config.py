@@ -19,6 +19,7 @@ import yaml
 
 from .cost_model import DeviceProfile, SurrogateConfig
 from .edge_agent import AgentConfig
+from .optimizer import RunConfig
 from .search_space import HyperparamSpec
 from .search_space import decode as decode_spec
 
@@ -32,12 +33,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunSection:
-    population: int = 8
-    samples: int = 16
-    seed: int = 0
-    epochs: int = 2
-    score_batch_size: int = 1
-    measurement_timeout_s: float = 600.0
+    population: int = RunConfig.population_size
+    samples: int = RunConfig.total_evaluations
+    seed: int = RunConfig.seed
+    epochs: int = RunConfig.epochs
+    score_batch_size: int = RunConfig.score_batch_size
+    measurement_timeout_s: float = RunConfig.measurement_timeout_s
     poll_interval_ms: int = 250
     trainer_duration_s: float = 0.0
     trainer_command: list[str] | None = None
@@ -126,9 +127,10 @@ def _parse(cls, section: str, doc, **fixed):
     """Build dataclass cls from one config section: a key per field, null keeps the default."""
     doc = _mapping(section, doc)
     _check_keys(section, doc, {f.name for f in dataclasses.fields(cls)} - set(fixed))
-    hints = _type_hints(cls)
     values = {
-        key: _convert(f"{section}.{key}", hints[key], value) for key, value in doc.items() if value is not None
+        key: _convert(f"{section}.{key}", _type_hints(cls)[key], value)
+        for key, value in doc.items()
+        if value is not None
     }
     try:
         return cls(**values, **fixed)
