@@ -22,19 +22,13 @@ import sys
 import threading
 from dataclasses import replace
 
-from . import coordinator, edge_agent, optimizer
+from . import coordinator, edge_agent
 from .config import CliConfig, ConfigError, load_config
-from .coordinator import (
-    BASELINE_RUN_ID,
-    CandidateStatus,
-    DispatchSettings,
-    ExternalTrainer,
-    SimulatedTrainer,
-)
+from .coordinator import CandidateStatus, DispatchSettings, ExternalTrainer, SimulatedTrainer
 from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
 from .optimizer import RunConfig, pareto_front, top_decile_medians, write_history_csv
 from .search_space import FIELDS, decode
-from .store import Role, SchemaVersionError, Store, StoreError
+from .store import SchemaVersionError, Store, StoreError
 
 logger = logging.getLogger(__name__)
 

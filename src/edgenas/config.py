@@ -20,8 +20,7 @@ import yaml
 from .cost_model import DeviceProfile, SurrogateConfig
 from .edge_agent import AgentConfig
 from .optimizer import RunConfig
-from .search_space import HyperparamSpec
-from .search_space import decode as decode_spec
+from .search_space import HyperparamSpec, decode as decode_spec
 
 ENV_STORE = "EDGENAS_STORE"
 DEFAULT_STORE_PATH = "edgenas.sqlite"

@@ -275,6 +275,7 @@ def top_decile_medians(source) -> MedianReport:
 
 
 def _spec_cells(spec: HyperparamSpec) -> list:
+    """One cell per history-CSV column; csv writes the float cells with repr()."""
     cells = []
     for value in to_document_dict(spec).values():
         cells.extend(value if isinstance(value, list) else [value])
