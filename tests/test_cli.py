@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from edgenas.cli import main
@@ -87,3 +89,25 @@ def test_agent_once_serves_a_detached_baseline(tmp_path, monkeypatch, capsys):
     assert cli("agent", "--once") == (0, "processed 0 architecture(s)\n")
     code, out = cli("baseline", "--no-embedded-agent")
     assert code == 0 and out.splitlines()[1].startswith("0        408.8178")
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    store = tmp_path / "cli.sqlite"
+    config = tmp_path / "batch3.yaml"
+    config.write_text("run:\n  score_batch_size: 3\n  poll_interval_ms: 1\nagent:\n  poll_interval_ms: 1\n")
+    argv = ["--config", str(config), "--store", str(store)]
+    assert main([*argv, "init-store"]) == 0
+    capsys.readouterr()
+    assert main([*argv, command]) == 2
+    assert capsys.readouterr() == ("", "error: score_batch_size 3 not in measured batch sizes (1, 2, 4, 8)\n")
+    conn = sqlite3.connect(store)
+    try:
+        rows = [
+            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("run_metadata", "network_architecture")
+        ]
+    finally:
+        conn.close()
+    assert rows == [0, 0]

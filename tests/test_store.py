@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sqlite3
 import threading
 
@@ -231,6 +232,22 @@ def test_newer_schema_version_refused(tmp_path):
     conn.close()
     with pytest.raises(SchemaVersionError, match="99"):
         Store(path)
+
+
+def test_foreign_sqlite_file_refused_unmodified(tmp_path):
+    path = str(tmp_path / "foreign.sqlite")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE notes (body TEXT)")
+    conn.commit()
+    conn.close()
+    with pytest.raises(SchemaVersionError, match="unversioned"):
+        Store(path)
+    conn = sqlite3.connect(path)
+    try:
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "delete"
+    finally:
+        conn.close()
+    assert os.listdir(tmp_path) == ["foreign.sqlite"]  # no -wal or -shm file beside it
 
 
 def test_initialize_idempotent(tmp_path):
