@@ -24,11 +24,11 @@ from dataclasses import replace
 
 from . import coordinator, edge_agent
 from .config import CliConfig, ConfigError, load_config
-from .coordinator import CandidateStatus, DispatchSettings, ExternalTrainer, SimulatedTrainer
+from .coordinator import DispatchSettings, ExternalTrainer, SimulatedTrainer
 from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
-from .optimizer import RunConfig, pareto_front, top_decile_medians, write_history_csv
+from .optimizer import EvaluationFailed, RunConfig, pareto_front, top_decile_medians, write_history_csv
 from .search_space import FIELDS, decode
-from .store import SchemaVersionError, Store, StoreError
+from .store import Store, StoreError
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ def _print_summary_rows(rows: list[tuple]) -> None:
 def _open_store(path: str) -> Store:
     try:
         return Store(path)
-    except (StoreError, SchemaVersionError) as exc:
+    except StoreError as exc:
         raise SystemExit(f"error: {exc}")
 
 
@@ -114,7 +114,7 @@ def _cmd_init_store(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
         with Store.initialize(path) as store:
             print(f"store at {path} ready (schema version {store.schema_version})")
-    except (StoreError, SchemaVersionError) as exc:
+    except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -187,16 +187,15 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
             cfg, population_size=args.population, total_evaluations=args.samples,
             seed=args.seed, epochs=args.epochs,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         summary = _dispatch(
             args, cfg,
             lambda store, trainer, settings: coordinator.run_nas(
                 run_config, store, trainer, run_id=args.run_id, settings=settings
             ),
         )
+    except ValueError as exc:  # a run configuration RunConfig or the coordinator refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -216,17 +215,20 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
-    run_config = _run_config(cfg, population_size=1, total_evaluations=1)
-    outcome = _dispatch(
-        args, cfg,
-        lambda store, trainer, settings: coordinator.evaluate_baseline(
-            store, trainer, run_config, settings=settings
-        ),
-    )
-    if outcome.status is not CandidateStatus.OK:
-        print(f"baseline evaluation failed: {outcome.status.value}", file=sys.stderr)
+    try:
+        run_config = _run_config(cfg, population_size=1, total_evaluations=1)
+        b = _dispatch(
+            args, cfg,
+            lambda store, trainer, settings: coordinator.evaluate_baseline(
+                store, trainer, run_config, settings=settings
+            ),
+        )
+    except ValueError as exc:  # a run configuration RunConfig or the coordinator refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EvaluationFailed as exc:
+        print(f"baseline evaluation failed: {exc}", file=sys.stderr)
         return 1
-    b = outcome.breakdown
     _print_summary_rows([(0, b.score, b.val_loss, b.inference_time_ms, b.test_score, b.test_loss)])
     return 0
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cost_model import DeviceProfile, SurrogateConfig
-from .edge_agent import AgentConfig
+from .coordinator import DispatchSettings
+from .edge_agent import MEASUREMENT_COMMAND_TIMEOUT_S, AgentConfig
 from .optimizer import RunConfig
 from .search_space import HyperparamSpec, decode as decode_spec
 
@@ -38,7 +39,7 @@ class RunSection:
     epochs: int = RunConfig.epochs
     score_batch_size: int = RunConfig.score_batch_size
     measurement_timeout_s: float = RunConfig.measurement_timeout_s
-    poll_interval_ms: int = 250
+    poll_interval_ms: int = round(DispatchSettings.poll_interval_s * 1000)
     trainer_duration_s: float = 0.0
     trainer_command: list[str] | None = None
 
@@ -47,7 +48,7 @@ class RunSection:
 class AgentSection:
     config: AgentConfig = field(default_factory=AgentConfig)
     measurement_command: list[str] | None = None
-    measurement_timeout_s: float = 300.0
+    measurement_timeout_s: float = MEASUREMENT_COMMAND_TIMEOUT_S
     call_duration_s: float = 0.0
 
 

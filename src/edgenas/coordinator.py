@@ -3,8 +3,9 @@
 Each candidate is posted to the store *before* its training starts and the
 measurement is read back only *after* training ends, so the edge round
 trip overlaps the training wall time instead of adding to it. The
-coordinator owns no state outside the store; concurrent dispatches
-serialize only through store transactions.
+coordinator owns no state outside the store: a candidate ends as the
+record run_ea keeps of it, scored or failed with its EvaluationFailed, and
+concurrent dispatches serialize only through store transactions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Protocol
 from .cost_model import SurrogateConfig, synthetic_val_loss
 from .edge_agent import AgentConfig, run_command
 from .optimizer import (
-    EvalContext,
     EvaluationFailed,
     RunConfig,
     RunHistory,
@@ -33,7 +33,6 @@ from .store import ArchitectureRecord, BenchmarkResult, Role, RunMetadata, Store
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_POLL_INTERVAL_S = 0.25
 BASELINE_RUN_ID = "baseline"
 
 
@@ -84,25 +83,8 @@ class ExternalTrainer:
 
 
 class CandidateStatus(Enum):
-    OK = "ok"
     TRAINER_FAILED = "trainer_failed"
     MEASUREMENT_TIMEOUT = "measurement_timeout"
-
-
-@dataclass(frozen=True)
-class CandidateTimings:
-    train_wall_ms: float
-    measure_wait_ms: float
-    total_wall_ms: float
-
-
-@dataclass
-class CandidateOutcome:
-    architecture_id: int
-    spec: HyperparamSpec
-    breakdown: ScoreBreakdown | None
-    timings: CandidateTimings
-    status: CandidateStatus
 
 
 @dataclass(frozen=True)
@@ -111,7 +93,15 @@ class DispatchSettings:
 
     device_type: str = AgentConfig.device_type
     batch_sizes: tuple[int, ...] = AgentConfig.batch_sizes
-    poll_interval_s: float = DEFAULT_POLL_INTERVAL_S
+    poll_interval_s: float = 0.25
+
+
+def _check_score_batch_size(run_config: RunConfig, settings: DispatchSettings) -> None:
+    """Raise ValueError unless the scored batch size is one the agent measures."""
+    if run_config.score_batch_size not in settings.batch_sizes:
+        raise ValueError(
+            f"score_batch_size {run_config.score_batch_size} not in measured batch sizes {settings.batch_sizes}"
+        )
 
 
 def dispatch_candidate(
@@ -123,17 +113,15 @@ def dispatch_candidate(
     lineage_id: int,
     candidate_seed: int,
     settings: DispatchSettings = DispatchSettings(),
-) -> CandidateOutcome:
+) -> ScoreBreakdown:
     """Post architecture, train, then read back the overlapped measurement.
 
     The measurement wait starts at the moment of posting: the agent works
     while the trainer runs, so total wall time tracks max(train, measure),
-    not their sum.
+    not their sum. A failed trainer raises EvaluationFailed("trainer_failed"),
+    a measurement set still incomplete after measurement_timeout_s raises
+    EvaluationFailed("measurement_timeout"); the CandidateStatus values.
     """
-    if run_config.score_batch_size not in settings.batch_sizes:
-        raise ValueError(
-            f"score_batch_size {run_config.score_batch_size} not in measured batch sizes {settings.batch_sizes}"
-        )
     started = time.perf_counter()
     architecture_id = store.insert_architecture(
         Role.OPTIMIZER,
@@ -147,11 +135,8 @@ def dispatch_candidate(
     try:
         val_loss, test_loss = trainer.train_and_validate(spec, run_config.epochs, candidate_seed)
     except Exception as exc:
-        now = time.perf_counter()
         logger.warning("trainer failed for architecture %s: %s", architecture_id, exc)
-        timings = CandidateTimings((now - started) * 1000.0, 0.0, (now - started) * 1000.0)
-        return CandidateOutcome(architecture_id, spec, None, timings, CandidateStatus.TRAINER_FAILED)
-    train_wall_ms = (time.perf_counter() - started) * 1000.0
+        raise EvaluationFailed(CandidateStatus.TRAINER_FAILED.value) from exc
 
     needed = set(settings.batch_sizes)
     deadline = started + run_config.measurement_timeout_s
@@ -161,15 +146,12 @@ def dispatch_candidate(
         if needed <= have:
             break
         if time.perf_counter() >= deadline:
-            now = time.perf_counter()
             logger.warning(
                 "measurement timeout for architecture %s after %.1fs", architecture_id,
                 run_config.measurement_timeout_s,
             )
-            timings = CandidateTimings(train_wall_ms, (now - started) * 1000.0, (now - started) * 1000.0)
-            return CandidateOutcome(architecture_id, spec, None, timings, CandidateStatus.MEASUREMENT_TIMEOUT)
+            raise EvaluationFailed(CandidateStatus.MEASUREMENT_TIMEOUT.value)
         time.sleep(settings.poll_interval_s)
-    measure_wait_ms = (time.perf_counter() - started) * 1000.0
 
     by_batch = {m.batch_size: m for m in measurements}
     inference_time_ms = by_batch[run_config.score_batch_size].latency_ms_mean
@@ -189,20 +171,34 @@ def dispatch_candidate(
                     split=split,
                 ),
             )
-    total_wall_ms = (time.perf_counter() - started) * 1000.0
-    timings = CandidateTimings(train_wall_ms, measure_wait_ms, total_wall_ms)
-    return CandidateOutcome(architecture_id, spec, breakdown, timings, CandidateStatus.OK)
+    return breakdown
 
 
 @dataclass
 class RunSummary:
+    """A finished run; counts and the best candidate are read from its history."""
+
     run_id: str
-    best_spec: HyperparamSpec | None
-    best_breakdown: ScoreBreakdown | None
-    ok_count: int
-    failure_counts: dict[str, int]
     total_wall_ms: float
     history: RunHistory
+
+    @property
+    def best_spec(self) -> HyperparamSpec | None:
+        best = self.history.best()
+        return best.spec if best else None
+
+    @property
+    def best_breakdown(self) -> ScoreBreakdown | None:
+        best = self.history.best()
+        return best.breakdown if best else None
+
+    @property
+    def ok_count(self) -> int:
+        return len(self.history.ok_records())
+
+    @property
+    def failure_counts(self) -> dict[str, int]:
+        return self.history.failure_counts()
 
 
 def run_nas(
@@ -211,9 +207,9 @@ def run_nas(
     trainer: TrainerBackend,
     run_id: str | None = None,
     settings: DispatchSettings = DispatchSettings(),
-    max_workers: int | None = None,
 ) -> RunSummary:
     """One full NAS run: EA driving dispatch_candidate, metadata persisted."""
+    _check_score_batch_size(run_config, settings)
     store.ping()
     run_id = run_id or default_run_id(run_config)
     started = time.perf_counter()
@@ -232,42 +228,28 @@ def run_nas(
     metadata = RunMetadata(run_id, config_document, seed=run_config.seed, started_at=utc_now())
     store.upsert_run_metadata(Role.OPTIMIZER, metadata)
 
-    failure_counts: dict[str, int] = {}
-
-    def evaluator(spec: HyperparamSpec, ctx: EvalContext) -> ScoreBreakdown:
-        outcome = dispatch_candidate(
+    history = run_ea(
+        run_config,
+        lambda spec, ctx: dispatch_candidate(
             spec, run_config, store, trainer,
             run_id=run_id, lineage_id=ctx.lineage_id, candidate_seed=ctx.seed, settings=settings,
-        )
-        if outcome.status is not CandidateStatus.OK:
-            failure_counts[outcome.status.value] = failure_counts.get(outcome.status.value, 0) + 1
-            raise EvaluationFailed(outcome.status.value)
-        return outcome.breakdown
-
-    history = run_ea(run_config, evaluator, max_workers=max_workers)
-    best = history.best()
-    total_wall_ms = (time.perf_counter() - started) * 1000.0
+        ),
+    )
+    summary = RunSummary(run_id, (time.perf_counter() - started) * 1000.0, history)
+    best = summary.best_breakdown
     summary_document = json.dumps(
         {
             "best_score": best.score if best else None,
-            "ok_count": len(history.ok_records()),
-            "failures": failure_counts,
-            "total_wall_ms": total_wall_ms,
+            "ok_count": summary.ok_count,
+            "failures": summary.failure_counts,
+            "total_wall_ms": summary.total_wall_ms,
         },
         sort_keys=True,
     )
     store.upsert_run_metadata(
         Role.OPTIMIZER, replace(metadata, finished_at=utc_now(), summary_document=summary_document)
     )
-    return RunSummary(
-        run_id=run_id,
-        best_spec=best.spec if best else None,
-        best_breakdown=best.breakdown if best else None,
-        ok_count=len(history.ok_records()),
-        failure_counts=failure_counts,
-        total_wall_ms=total_wall_ms,
-        history=history,
-    )
+    return summary
 
 
 def default_run_id(run_config: RunConfig) -> str:
@@ -279,9 +261,13 @@ def evaluate_baseline(
     trainer: TrainerBackend,
     run_config: RunConfig | None = None,
     settings: DispatchSettings = DispatchSettings(),
-) -> CandidateOutcome:
-    """Push the expert default through the identical pipeline (run id 'baseline')."""
+) -> ScoreBreakdown:
+    """Push the expert default through the identical pipeline (run id 'baseline').
+
+    Raises EvaluationFailed as dispatch_candidate does.
+    """
     run_config = run_config or RunConfig(population_size=1, total_evaluations=1)
+    _check_score_batch_size(run_config, settings)
     store.ping()
     config_document = json.dumps(
         {"population_size": 0, "total_evaluations": 0, "seed": run_config.seed, "baseline": True},
@@ -291,12 +277,11 @@ def evaluate_baseline(
         Role.OPTIMIZER,
         RunMetadata(run_id=BASELINE_RUN_ID, config_document=config_document, seed=run_config.seed),
     )
-    outcome = dispatch_candidate(
+    return dispatch_candidate(
         default_config(), run_config, store, trainer,
         run_id=BASELINE_RUN_ID, lineage_id=0,
         candidate_seed=derive_seed(run_config.seed, "baseline"), settings=settings,
     )
-    return outcome
 
 
 def improvement_factor(baseline_time_ms: float, best_time_ms: float) -> float:

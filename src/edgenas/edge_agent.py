@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 BACKOFF_INITIAL_S = 0.5
 BACKOFF_CAP_S = 30.0
+MEASUREMENT_COMMAND_TIMEOUT_S = 300.0
 
 
 class BackendError(Exception):
@@ -116,7 +117,7 @@ class ExternalBackend:
     object with latency_ms and optional memory_mb/cpu_util/gpu_util.
     """
 
-    def __init__(self, command: list[str], timeout_s: float = 300.0):
+    def __init__(self, command: list[str], timeout_s: float = MEASUREMENT_COMMAND_TIMEOUT_S):
         if not command:
             raise ValueError("command must be non-empty")
         self.command = list(command)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import math
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -127,6 +128,10 @@ class RunHistory:
     def ok_records(self) -> list[EvalRecord]:
         return [r for r in self.records if not r.failed]
 
+    def failure_counts(self) -> dict[str, int]:
+        """How often each error ended a failed record, keyed in evaluation order."""
+        return dict(Counter(r.error for r in self.records if r.failed))
+
     def best(self) -> EvalRecord | None:
         candidates = self.ok_records()
         if not candidates:
@@ -143,39 +148,29 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_ea(
-    config: RunConfig,
-    evaluator: Evaluator,
-    max_workers: int | None = None,
-) -> RunHistory:
+def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
     """Run the (1+1) EA until the evaluation budget is exhausted.
 
     The initial parents count toward the budget. Mutations are drawn
     sequentially from the run RNG before each round's candidates are
-    evaluated (possibly concurrently), so identical seeds give identical
-    runs. A failing evaluator consumes budget: the candidate is recorded
-    with infinite score and the parent stays.
+    evaluated, one thread per lineage on one executor that serves the whole
+    run, so identical seeds give identical runs. A failing evaluator
+    consumes budget: the candidate is recorded with infinite score and the
+    parent stays.
     """
     rng = random.Random(config.seed)
     history = RunHistory(config=config)
-    pool_size = max_workers or config.population_size
 
-    def evaluate_batch(batch: list[tuple[HyperparamSpec, EvalContext]]) -> list[EvalRecord]:
-        def run_one(item: tuple[HyperparamSpec, EvalContext]) -> EvalRecord:
-            spec, ctx = item
-            try:
-                breakdown = evaluator(spec, ctx)
-                return EvalRecord(ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, breakdown, False)
-            except Exception as exc:
-                return EvalRecord(
-                    ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, None,
-                    accepted=False, failed=True, error=str(exc),
-                )
-
-        if len(batch) == 1:
-            return [run_one(batch[0])]
-        with ThreadPoolExecutor(max_workers=min(pool_size, len(batch))) as pool:
-            return list(pool.map(run_one, batch))
+    def run_one(item: tuple[HyperparamSpec, EvalContext]) -> EvalRecord:
+        spec, ctx = item
+        try:
+            breakdown = evaluator(spec, ctx)
+            return EvalRecord(ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, breakdown, False)
+        except Exception as exc:
+            return EvalRecord(
+                ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, None,
+                accepted=False, failed=True, error=str(exc),
+            )
 
     population = config.population_size
     initial = []
@@ -183,33 +178,34 @@ def run_ea(
         spec = sample(rng)
         ctx = EvalContext(lineage_id, 0, lineage_id, derive_seed(config.seed, lineage_id, 0))
         initial.append((spec, ctx))
-    parents: list[Lineage] = []
-    for record in evaluate_batch(initial):
-        record.accepted = True  # initial parents define their lineage
-        history.records.append(record)
-        parents.append(Lineage(record.lineage_id, record.spec, record.score))
-
-    evals_done = population
-    round_index = 1
-    while evals_done < config.total_evaluations:
-        width = min(population, config.total_evaluations - evals_done)
-        batch = []
-        for lineage_id in range(width):  # final partial round covers the first lineages
-            offspring = mutate(parents[lineage_id].parent_spec, rng)
-            ctx = EvalContext(
-                lineage_id, round_index, evals_done + lineage_id,
-                derive_seed(config.seed, lineage_id, round_index),
-            )
-            batch.append((offspring, ctx))
-        for record in evaluate_batch(batch):
-            lineage = parents[record.lineage_id]
-            if not record.failed and select(lineage.parent_score, record.score):
-                record.accepted = True
-                lineage.parent_spec = record.spec
-                lineage.parent_score = record.score
+    with ThreadPoolExecutor(population) as pool:
+        parents: list[Lineage] = []
+        for record in pool.map(run_one, initial):
+            record.accepted = True  # initial parents define their lineage
             history.records.append(record)
-        evals_done += width
-        round_index += 1
+            parents.append(Lineage(record.lineage_id, record.spec, record.score))
+
+        evals_done = population
+        round_index = 1
+        while evals_done < config.total_evaluations:
+            width = min(population, config.total_evaluations - evals_done)
+            batch = []
+            for lineage_id in range(width):  # final partial round covers the first lineages
+                offspring = mutate(parents[lineage_id].parent_spec, rng)
+                ctx = EvalContext(
+                    lineage_id, round_index, evals_done + lineage_id,
+                    derive_seed(config.seed, lineage_id, round_index),
+                )
+                batch.append((offspring, ctx))
+            for record in pool.map(run_one, batch):
+                lineage = parents[record.lineage_id]
+                if not record.failed and select(lineage.parent_score, record.score):
+                    record.accepted = True
+                    lineage.parent_spec = record.spec
+                    lineage.parent_score = record.score
+                history.records.append(record)
+            evals_done += width
+            round_index += 1
     return history
 
 

@@ -158,33 +158,26 @@ class Store:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.execute("PRAGMA busy_timeout = 30000")
-        self._conn.execute("PRAGMA journal_mode = WAL")
+        # read before any PRAGMA that writes, so that a refused file is left as it was
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        tables = self._conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
         if version > SCHEMA_VERSION:
             self._conn.close()
             raise SchemaVersionError(
                 f"store at {path} has schema version {version}, newer than supported {SCHEMA_VERSION}"
             )
+        if version < SCHEMA_VERSION and not create:
+            self._conn.close()
+            if tables:
+                raise SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
+            raise StoreError(f"store at {path} is not initialized; run init-store first")
+        self._conn.execute("PRAGMA foreign_keys = ON")
+        self._conn.execute("PRAGMA busy_timeout = 30000")
+        self._conn.execute("PRAGMA journal_mode = WAL")
         if version < SCHEMA_VERSION:
-            if not create:
-                self._conn.close()
-                if self._tables_exist(path):
-                    raise SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
-                raise StoreError(f"store at {path} is not initialized; run init-store first")
             with self._lock, self._conn:
                 self._conn.executescript(_schema_sql())
                 self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-
-    @staticmethod
-    def _tables_exist(path: str) -> bool:
-        conn = sqlite3.connect(path)
-        try:
-            row = conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()
-            return row[0] > 0
-        finally:
-            conn.close()
 
     @classmethod
     def initialize(cls, path: str) -> "Store":

@@ -91,7 +91,8 @@ class _FlakyStore:
 
     def insert_benchmark_result(self, role, result):
         with self._lock:
-            fail, self._failed = not self._failed, True
+            fail = not self._failed
+            self._failed = True
         if fail:
             raise StoreError("disk full")
         return self._store.insert_benchmark_result(role, result)
@@ -157,3 +158,4 @@ def test_measurement_overlaps_training(store):
     assert summary.ok_count == 1
     wall_s = summary.total_wall_ms / 1000.0
     assert max(train_s, measure_s) <= wall_s < 0.75 * (train_s + measure_s)
+    _assert_accounted(summary, run_config, store)
