@@ -146,6 +146,30 @@ def test_history_csv_bytes_are_pinned(tmp_path, seed, noisy, expected):
     assert history_csv_digest(tmp_path, seed, noisy) == expected
 
 
+def test_partial_final_round_history_is_pinned(tmp_path):
+    """61 evaluations at population 8: round 7 covers lineages 0-4 only.
+
+    The planted failures hit round 0 (lineage 5, whose failed parent must
+    still be accepted) and the partial last round (lineage 3).
+    """
+    inner = make_sim_evaluator(DeviceProfile(noise_std_ms=0.5), SurrogateConfig())
+
+    def evaluator(spec, ctx):
+        if ctx.eval_index % 9 == 5:
+            raise EvaluationFailed("planted failure")
+        return inner(spec, ctx)
+
+    history = run_ea(RunConfig(population_size=8, total_evaluations=61, seed=2), evaluator)
+    assert [(r.round_index, r.lineage_id) for r in history.records if r.failed] == [
+        (0, 5), (1, 6), (2, 7), (4, 0), (5, 1), (6, 2), (7, 3),
+    ]
+    assert [r.lineage_id for r in history.records if r.round_index == 7] == [0, 1, 2, 3, 4]
+    path = tmp_path / "history-partial.csv"
+    write_history_csv(history, "golden-partial", path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "b8b89d0b86147c94243dff40de302eff3814811bb5982d0f04d88e251c5f54ea"
+
+
 def test_median_report_is_pinned():
     assert median_report_values(11) == (
         (4, 4, 4), 24, (1, 4, 2, 4), (6, 3, 24, 12), 2, 2.8402246183455596e-05, 40, 0.689310291791923, 7,
