@@ -210,7 +210,6 @@ def run_nas(
 ) -> RunSummary:
     """One full NAS run: EA driving dispatch_candidate, metadata persisted."""
     _check_score_batch_size(run_config, settings)
-    store.ping()
     run_id = run_id or default_run_id(run_config)
     started = time.perf_counter()
     config_document = json.dumps(
@@ -268,7 +267,6 @@ def evaluate_baseline(
     """
     run_config = run_config or RunConfig(population_size=1, total_evaluations=1)
     _check_score_batch_size(run_config, settings)
-    store.ping()
     config_document = json.dumps(
         {"population_size": 0, "total_evaluations": 0, "seed": run_config.seed, "baseline": True},
         sort_keys=True,

@@ -149,28 +149,45 @@ def _schema_sql() -> str:
 
 
 class Store:
-    """Thread-safe handle on one store; every operation is atomic."""
+    """Thread-safe handle on one store; every operation is atomic.
+
+    Opening refuses a file that is not SQLite, a schema version newer than
+    SCHEMA_VERSION and tables without our version, with or without create,
+    and leaves the refused file as it was. A missing or empty file is
+    refused unless create is set, which lays down the schema. Column
+    ranges are validated by the schema's CHECK constraints; a violation
+    raises ValidationError.
+    """
 
     def __init__(self, path: str, create: bool = False):
-        if not create and path != ":memory:" and not os.path.exists(path):
-            raise StoreError(f"store at {path} is not initialized; run init-store first")
         self.path = path
         self._lock = threading.RLock()
-        self._conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
-        self._conn.row_factory = sqlite3.Row
-        # read before any PRAGMA that writes, so that a refused file is left as it was
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        tables = self._conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+        conn = None
+        version = tables = 0  # a missing file reads as empty, and only create makes it
+        if create or os.path.exists(path):
+            conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
+            try:
+                # read before any PRAGMA that writes, so that a refused file is left as it was
+                version = conn.execute("PRAGMA user_version").fetchone()[0]
+                tables = conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+            except sqlite3.DatabaseError as exc:
+                conn.close()
+                raise StoreError(f"store at {path} is not an SQLite database: {exc}") from exc
+        refusal = None
         if version > SCHEMA_VERSION:
-            self._conn.close()
-            raise SchemaVersionError(
+            refusal = SchemaVersionError(
                 f"store at {path} has schema version {version}, newer than supported {SCHEMA_VERSION}"
             )
-        if version < SCHEMA_VERSION and not create:
-            self._conn.close()
-            if tables:
-                raise SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
-            raise StoreError(f"store at {path} is not initialized; run init-store first")
+        elif version < SCHEMA_VERSION and tables:
+            refusal = SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
+        elif version < SCHEMA_VERSION and not create:
+            refusal = StoreError(f"store at {path} is not initialized; run init-store first")
+        if refusal is not None:
+            if conn is not None:
+                conn.close()
+            raise refusal
+        self._conn = conn
+        self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.execute("PRAGMA busy_timeout = 30000")
         self._conn.execute("PRAGMA journal_mode = WAL")
@@ -198,14 +215,6 @@ class Store:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def ping(self) -> None:
-        """Raise StoreError if the store is unreachable or uninitialized."""
-        try:
-            with self._lock:
-                self._conn.execute("SELECT 1 FROM network_architecture LIMIT 1").fetchone()
-        except sqlite3.Error as exc:
-            raise StoreError(f"store at {self.path} not reachable: {exc}") from exc
 
     @staticmethod
     def _require(role: Role, allowed: Role, table: str) -> None:
@@ -295,12 +304,6 @@ class Store:
 
     def insert_measurement(self, role: Role, measurement: EdgeMeasurement) -> int:
         self._require(role, Role.EDGE_AGENT, "edge_measurement")
-        if measurement.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if measurement.latency_ms_mean <= 0:
-            raise ValidationError("latency_ms_mean must be > 0")
-        if measurement.latency_ms_std < 0:
-            raise ValidationError("latency_ms_std must be >= 0")
         try:
             with self._lock, self._conn:
                 self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
@@ -331,8 +334,6 @@ class Store:
             raise ConsistencyError(
                 f"score {result.score!r} != val_loss*1000 + inference_time_ms = {expected!r}"
             )
-        if result.split not in ("validation", "test"):
-            raise ValidationError(f"split must be 'validation' or 'test', got {result.split!r}")
         try:
             with self._lock, self._conn:
                 cur = self._insert(_RESULT_INSERT, result, created_at=result.created_at or utc_now())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sqlite3
 
 import pytest
@@ -111,3 +112,30 @@ def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypa
     finally:
         conn.close()
     assert rows == [0, 0]
+
+
+def test_non_sqlite_store_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    notes = tmp_path / "notes.txt"
+    notes.write_text("meeting notes\n" * 100)
+    assert main(["--store", str(notes), "report", "summary", "--run-ids", "x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: store at {notes} is not an SQLite database")
+    assert len(err.splitlines()) == 1
+
+
+def test_init_store_refuses_foreign_sqlite_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    foreign = tmp_path / "foreign.sqlite"
+    conn = sqlite3.connect(foreign)
+    conn.execute("CREATE TABLE notes (body TEXT)")
+    conn.commit()
+    conn.close()
+    before = hashlib.sha256(foreign.read_bytes()).hexdigest()
+    assert main(["--store", str(foreign), "init-store"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: store at {foreign} has an unversioned, unrecognized schema\n"
+    )
+    assert hashlib.sha256(foreign.read_bytes()).hexdigest() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.sqlite"]  # no -wal or -shm file

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import sqlite3
 import threading
@@ -295,3 +296,40 @@ def test_cross_handle_visibility(tmp_path):
     with Store.initialize(path) as a, Store(path) as b:
         arch_id = a.insert_architecture(Role.OPTIMIZER, _arch())
         assert [r.id for r in b.poll_unmeasured(Role.READER, DEVICE)] == [arch_id]
+
+
+def _foreign_file(tmp_path, kind: str) -> str:
+    """A file no store made: a text file, or SQLite with one unrelated table at user_version 0."""
+    path = tmp_path / f"{kind}.file"
+    if kind == "text":
+        path.write_text("not a database\n" * 200)
+    else:
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE notes (body TEXT)")
+        conn.commit()
+        conn.close()
+    return str(path)
+
+
+def test_non_sqlite_file_refused(tmp_path):
+    with pytest.raises(StoreError, match="not an SQLite database"):
+        Store(_foreign_file(tmp_path, "text"))
+
+
+@pytest.mark.parametrize("kind,message", [("text", "not an SQLite database"), ("sqlite", "unversioned")])
+def test_initialize_refuses_foreign_file_byte_identical(tmp_path, kind, message):
+    path = _foreign_file(tmp_path, kind)
+    before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with pytest.raises(StoreError, match=message):
+        Store.initialize(path)
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == before
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no -wal or -shm file beside it
+
+
+def test_empty_file_needs_create(tmp_path):
+    path = tmp_path / "empty.sqlite"
+    path.write_bytes(b"")
+    with pytest.raises(StoreError, match="init-store"):
+        Store(str(path))
+    with Store.initialize(str(path)) as store:
+        assert store.schema_version == 1
