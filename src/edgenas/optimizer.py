@@ -114,15 +114,7 @@ class RunConfig:
 
 
 @dataclass
-class Lineage:
-    lineage_id: int
-    parent_spec: HyperparamSpec
-    parent_score: float
-
-
-@dataclass
 class RunHistory:
-    config: RunConfig
     records: list[EvalRecord] = field(default_factory=list)
 
     def ok_records(self) -> list[EvalRecord]:
@@ -151,15 +143,17 @@ def derive_seed(*parts: Any) -> int:
 def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
     """Run the (1+1) EA until the evaluation budget is exhausted.
 
-    The initial parents count toward the budget. Mutations are drawn
-    sequentially from the run RNG before each round's candidates are
-    evaluated, one thread per lineage on one executor that serves the whole
-    run, so identical seeds give identical runs. A failing evaluator
-    consumes budget: the candidate is recorded with infinite score and the
-    parent stays.
+    Round 0 samples each lineage's initial parent; it counts toward the
+    budget, and its record is accepted even when the evaluation fails.
+    Every later round mutates each lineage's parent, and a final partial
+    round covers the first lineages. A round's candidates are drawn
+    sequentially from the run RNG before they are evaluated, one thread
+    per lineage on one executor that serves the whole run, so identical
+    seeds give identical runs. A failing evaluator consumes budget: the
+    candidate is recorded with infinite score and the parent stays.
     """
     rng = random.Random(config.seed)
-    history = RunHistory(config=config)
+    history = RunHistory()
 
     def run_one(item: tuple[HyperparamSpec, EvalContext]) -> EvalRecord:
         spec, ctx = item
@@ -173,38 +167,26 @@ def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
             )
 
     population = config.population_size
-    initial = []
-    for lineage_id in range(population):
-        spec = sample(rng)
-        ctx = EvalContext(lineage_id, 0, lineage_id, derive_seed(config.seed, lineage_id, 0))
-        initial.append((spec, ctx))
+    parents: list[EvalRecord | None] = [None] * population
     with ThreadPoolExecutor(population) as pool:
-        parents: list[Lineage] = []
-        for record in pool.map(run_one, initial):
-            record.accepted = True  # initial parents define their lineage
-            history.records.append(record)
-            parents.append(Lineage(record.lineage_id, record.spec, record.score))
-
-        evals_done = population
-        round_index = 1
-        while evals_done < config.total_evaluations:
-            width = min(population, config.total_evaluations - evals_done)
+        round_index = 0
+        while len(history.records) < config.total_evaluations:
+            evals_done = len(history.records)
             batch = []
-            for lineage_id in range(width):  # final partial round covers the first lineages
-                offspring = mutate(parents[lineage_id].parent_spec, rng)
+            for lineage_id in range(min(population, config.total_evaluations - evals_done)):
+                parent = parents[lineage_id]
+                spec = sample(rng) if parent is None else mutate(parent.spec, rng)
                 ctx = EvalContext(
                     lineage_id, round_index, evals_done + lineage_id,
                     derive_seed(config.seed, lineage_id, round_index),
                 )
-                batch.append((offspring, ctx))
+                batch.append((spec, ctx))
             for record in pool.map(run_one, batch):
-                lineage = parents[record.lineage_id]
-                if not record.failed and select(lineage.parent_score, record.score):
+                parent = parents[record.lineage_id]
+                if parent is None or (not record.failed and select(parent.score, record.score)):
                     record.accepted = True
-                    lineage.parent_spec = record.spec
-                    lineage.parent_score = record.score
+                    parents[record.lineage_id] = record
                 history.records.append(record)
-            evals_done += width
             round_index += 1
     return history
 
