@@ -85,25 +85,26 @@ def run_command(command: list[str], payload: str, timeout_s: float, label: str, 
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
-    The noise stream is seeded per (spec, batch size), so reported values
-    do not depend on the order the agent drains its queue. call_duration_s
-    stalls each call to emulate real measurement time.
+    One noise stream, that of the last (spec, batch size), is kept: it is
+    seeded from that pair and restarts whenever the pair changes, so
+    reported values do not depend on the order the agent drains its queue
+    and memory does not grow with the specs seen. call_duration_s stalls
+    each call to emulate real measurement time.
     """
 
     def __init__(self, profile: cost_model.DeviceProfile, seed: int = 0, call_duration_s: float = 0.0):
         self.profile = profile
         self.seed = seed
         self.call_duration_s = call_duration_s
-        self._streams: dict[tuple[str, int], random.Random] = {}
+        self._stream: tuple[HyperparamSpec, int, random.Random] | None = None
 
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample:
         if self.call_duration_s > 0:
             time.sleep(self.call_duration_s)
-        key = (json.dumps(to_document_dict(spec), sort_keys=True), batch_size)
-        rng = self._streams.get(key)
-        if rng is None:
-            rng = self._streams[key] = random.Random(derive_seed(self.seed, *key))
-        latency = cost_model.synthetic_latency(spec, batch_size, self.profile, rng)
+        if self._stream is None or self._stream[:2] != (spec, batch_size):
+            key = json.dumps(to_document_dict(spec), sort_keys=True)
+            self._stream = (spec, batch_size, random.Random(derive_seed(self.seed, key, batch_size)))
+        latency = cost_model.synthetic_latency(spec, batch_size, self.profile, self._stream[2])
         # synthetic placeholders for the auxiliary metrics
         memory_mb = cost_model.param_count(spec) * 4 / 1e6
         return InferenceSample(latency_ms=latency, memory_mb=memory_mb, cpu_util=12.5, gpu_util=62.5)

@@ -250,3 +250,14 @@ def test_external_backend_timeout_is_failure():
     backend = ExternalBackend(_stub("import time; time.sleep(5)"), timeout_s=0.5)
     with pytest.raises(BackendError, match="timed out"):
         backend.time_inference(default_config(), 1)
+
+
+def test_simulated_backend_repeats_a_spec_measured_again():
+    profile = DeviceProfile(noise_std_ms=1.0)
+    spec_a, spec_b = sample(random.Random(1)), sample(random.Random(2))
+    backend = SimulatedBackend(profile, seed=5)
+    first = measure(spec_a, AgentConfig(), backend)
+    measure(spec_b, AgentConfig(), backend)
+    again = measure(spec_a, AgentConfig(), backend)
+    assert [r.latency_ms_mean for r in first] == [r.latency_ms_mean for r in again]
+    assert [r.latency_ms_std for r in first] == [r.latency_ms_std for r in again]
