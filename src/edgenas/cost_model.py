@@ -48,7 +48,6 @@ class CostModelError(ValueError):
 class DeviceProfile:
     """Affine latency model of a simulated edge device."""
 
-    name: str = "sim-edge"
     base_latency_ms: float = 5.0
     ms_per_gflop: float = 5.9
     batch_efficiency: float = 0.8

@@ -133,7 +133,7 @@ def test_invalid_spec_rejected():
 
 
 def test_synthetic_latency_formula():
-    profile = DeviceProfile(name="t", base_latency_ms=5.0, ms_per_gflop=0.1, batch_efficiency=0.8, noise_std_ms=0.0)
+    profile = DeviceProfile(base_latency_ms=5.0, ms_per_gflop=0.1, batch_efficiency=0.8, noise_std_ms=0.0)
     spec = PLANTED_OPTIMUM
     flops = flops_estimate(spec)
     rng = random.Random(0)
@@ -141,7 +141,7 @@ def test_synthetic_latency_formula():
 
 
 def test_synthetic_latency_linear_in_batch_when_efficiency_is_one():
-    profile = DeviceProfile(name="t", base_latency_ms=0.0, ms_per_gflop=1.0, batch_efficiency=1.0, noise_std_ms=0.0)
+    profile = DeviceProfile(base_latency_ms=0.0, ms_per_gflop=1.0, batch_efficiency=1.0, noise_std_ms=0.0)
     rng = random.Random(0)
     one = synthetic_latency(MINIMAL_SPEC, 1, profile, rng)
     four = synthetic_latency(MINIMAL_SPEC, 4, profile, rng)
