@@ -4,6 +4,7 @@ import hashlib
 import os
 import sqlite3
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -319,10 +320,10 @@ def test_non_sqlite_file_refused(tmp_path):
 @pytest.mark.parametrize("kind,message", [("text", "not an SQLite database"), ("sqlite", "unversioned")])
 def test_initialize_refuses_foreign_file_byte_identical(tmp_path, kind, message):
     path = _foreign_file(tmp_path, kind)
-    before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     with pytest.raises(StoreError, match=message):
         Store.initialize(path)
-    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == before
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == before
     assert os.listdir(tmp_path) == [os.path.basename(path)]  # no -wal or -shm file beside it
 
 
