@@ -86,7 +86,7 @@ class EvalRecord:
     eval_index: int
     spec: HyperparamSpec
     breakdown: ScoreBreakdown | None
-    accepted: bool
+    accepted: bool = False  # set by run_ea's selection
     failed: bool = False
     error: str | None = None
 
@@ -157,21 +157,18 @@ def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
 
     def run_one(item: tuple[HyperparamSpec, EvalContext]) -> EvalRecord:
         spec, ctx = item
+        identity = (ctx.lineage_id, ctx.round_index, ctx.eval_index, spec)
         try:
-            breakdown = evaluator(spec, ctx)
-            return EvalRecord(ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, breakdown, False)
+            return EvalRecord(*identity, evaluator(spec, ctx))
         except Exception as exc:
-            return EvalRecord(
-                ctx.lineage_id, ctx.round_index, ctx.eval_index, spec, None,
-                accepted=False, failed=True, error=str(exc),
-            )
+            return EvalRecord(*identity, None, failed=True, error=str(exc))
 
     population = config.population_size
     parents: list[EvalRecord | None] = [None] * population
     with ThreadPoolExecutor(population) as pool:
-        round_index = 0
         while len(history.records) < config.total_evaluations:
             evals_done = len(history.records)
+            round_index = evals_done // population  # every round but the last is full
             batch = []
             for lineage_id in range(min(population, config.total_evaluations - evals_done)):
                 parent = parents[lineage_id]
@@ -187,7 +184,6 @@ def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
                     record.accepted = True
                     parents[record.lineage_id] = record
                 history.records.append(record)
-            round_index += 1
     return history
 
 

@@ -151,12 +151,10 @@ def _schema_sql() -> str:
 class Store:
     """Thread-safe handle on one store; every operation is atomic.
 
-    Opening refuses a file that is not SQLite, a schema version newer than
-    SCHEMA_VERSION and tables without our version, with or without create,
-    and leaves the refused file as it was. A missing or empty file is
-    refused unless create is set, which lays down the schema. Column
-    ranges are validated by the schema's CHECK constraints; a violation
-    raises ValidationError.
+    Opening refuses, and leaves as it was, a file that is not SQLite, a
+    newer schema version or tables without our version. A missing or empty
+    file is refused unless create lays down the schema. The schema's CHECK
+    constraints validate column ranges; a violation raises ValidationError.
     """
 
     def __init__(self, path: str, create: bool = False):
