@@ -44,6 +44,7 @@ def test_empty_file_gives_defaults(write_config):
         ("agent: {batch_size: [1]}\n", "agent"),
         ("agent: {config: {}}\n", "agent"),
         ("device_profile: {noise: 1.0}\n", "device_profile"),
+        ("device_profile: {name: jetson}\n", "device_profile"),
         ("surrogate: {planted: {}}\n", "surrogate"),
         ("report: {out: x}\n", "report"),
     ],
@@ -151,8 +152,3 @@ def test_malformed_sections_fail_cleanly(write_config, capsys, text, message):
     assert str(info.value) == message
     assert main(["--config", path, "init-store"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_device_profile_has_no_name_key(write_config):
-    with pytest.raises(ConfigError, match=r"^unknown key\(s\) in device_profile: name"):
-        load_config(write_config("device_profile: {name: jetson}\n"))
