@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
@@ -53,3 +54,13 @@ def brute_force_front(points):
         if not dominated:
             front.append(pid_i)
     return front
+
+
+def add_failing_trigger(path, table: str) -> None:
+    """A second connection makes every insert into table fail inside SQLite (no such function)."""
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute(f"CREATE TRIGGER boom BEFORE INSERT ON {table} BEGIN SELECT boom(); END")
+        conn.commit()
+    finally:
+        conn.close()

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
+import threading
 
 import pytest
 
+from conftest import add_failing_trigger
+from edgenas import cli as cli_module
+from edgenas import edge_agent
 from edgenas.cli import main
 
 RUN_ID = "run-s0-n16-p8"
@@ -139,3 +143,45 @@ def test_init_store_refuses_foreign_sqlite_file(tmp_path, monkeypatch, capsys):
     )
     assert hashlib.sha256(foreign.read_bytes()).hexdigest() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.sqlite"]  # no -wal or -shm file
+
+
+@pytest.mark.parametrize(
+    "command", [["init-store"], ["report", "summary", "--run-ids", "x"]], ids=["init-store", "report"]
+)
+def test_directory_as_store_is_one_error_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    assert main(["--store", str(tmp_path), *command]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: store at {tmp_path}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_store_failure_in_baseline_is_one_error_line(cli, tmp_path, capsys):
+    cli("init-store")
+    store = tmp_path / "cli.sqlite"
+    add_failing_trigger(store, "benchmark_result")
+    assert main(["--config", str(tmp_path / "fast.yaml"), "--store", str(store), "baseline"]) == 1
+    assert capsys.readouterr() == ("", f"error: store at {store}: no such function: boom\n")
+
+
+def test_hung_embedded_agent_fails_the_command(cli, tmp_path, monkeypatch, capsys):
+    release = threading.Event()
+    serve = edge_agent.run_agent_loop
+
+    def ignore_stop(config, store, stop, backend):
+        return serve(config, store, release, backend)
+
+    monkeypatch.setattr(edge_agent, "run_agent_loop", ignore_stop)
+    monkeypatch.setattr(cli_module, "AGENT_JOIN_TIMEOUT_S", 0.05)
+    cli("init-store")
+    try:
+        argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite"), "baseline"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: embedded agent did not stop within 0.05 s\n")
+    finally:
+        release.set()
+        for thread in threading.enumerate():
+            if thread.name == "embedded-agent":
+                thread.join(timeout=5)
+                assert not thread.is_alive()

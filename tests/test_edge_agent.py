@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import sqlite3
 import sys
 import threading
 
 import pytest
 
+from conftest import add_failing_trigger
 from edgenas.cost_model import DeviceProfile, synthetic_latency
 from edgenas.edge_agent import (
     AgentConfig,
@@ -193,6 +195,36 @@ def test_agent_loop_backs_off_on_store_errors(store, quiet_profile, monkeypatch)
     processed = run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), SimulatedBackend(quiet_profile), once=True)
     assert processed == 1
     assert calls["n"] >= 2
+
+
+def test_agent_survives_a_write_refused_by_sqlite(store, quiet_profile, caplog):
+    arch_id = _insert_pending(store)
+    add_failing_trigger(store.path, "edge_measurement")
+    processed = run_agent_loop(AgentConfig(), store, threading.Event(), SimulatedBackend(quiet_profile), once=True)
+    assert processed == 1
+    assert store.get_measurements(arch_id, DEVICE) == []
+    assert "no such function: boom" in caplog.text
+
+
+def test_agent_skips_out_of_range_document_once(store):
+    # a foreign writer posts a document that decodes but is out of range; the API itself refuses it
+    document = json.loads(encode(default_config()))
+    document["mlp_ratio"] = 7
+    conn = sqlite3.connect(store.path)
+    try:
+        conn.execute(
+            "INSERT INTO network_architecture (run_id, lineage_id, spec_document, device_targets, created_at)"
+            " VALUES ('foreign', 0, ?, '[\"sim-edge\"]', '2026-01-01T00:00:00.000+00:00')",
+            (json.dumps(document),),
+        )
+        conn.commit()
+    finally:
+        conn.close()
+    backend = CountingBackend()
+    processed = run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), backend, once=True)
+    assert processed == 0
+    assert backend.calls == []
+    assert store.get_measurements(1, DEVICE) == []
 
 
 # -- external backend protocol -------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import add_failing_trigger
 from edgenas.search_space import default_config, encode
 from edgenas.store import (
     ArchitectureRecord,
@@ -334,3 +335,38 @@ def test_empty_file_needs_create(tmp_path):
         Store(str(path))
     with Store.initialize(str(path)) as store:
         assert store.schema_version == 1
+
+
+def test_directory_path_is_store_error(tmp_path):
+    with pytest.raises(StoreError, match=f"store at {tmp_path}"):
+        Store(str(tmp_path), create=True)
+
+
+def test_missing_parent_directory_is_store_error(tmp_path):
+    path = tmp_path / "missing" / "x.sqlite"
+    with pytest.raises(StoreError, match="unable to open"):
+        Store(str(path), create=True)
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.get_measurements(1, DEVICE),
+        lambda s: s.list_run_ids(),
+        lambda s: s.schema_version,
+    ],
+    ids=["get_measurements", "list_run_ids", "schema_version"],
+)
+def test_closed_store_is_store_error(store, call):
+    store.close()
+    with pytest.raises(StoreError):
+        call(store)
+
+
+def test_write_refused_by_sqlite_is_store_error(store):
+    arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
+    add_failing_trigger(store.path, "edge_measurement")
+    with pytest.raises(StoreError, match=f"store at {store.path}: no such function: boom"):
+        store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id))
+    assert store.get_measurements(arch_id, DEVICE) == []
