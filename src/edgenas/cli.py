@@ -8,6 +8,9 @@
 
 All numeric output uses fixed formats: scores and losses with 4 decimals,
 latency with 2 decimals plus "ms".
+
+Exit codes: 0 done; 1 the command failed (store, run ids, evaluations);
+2 a bad command line or configuration. Only main prints "error: ...".
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import threading
 from dataclasses import replace
 
 from . import coordinator, edge_agent
-from .config import CliConfig, ConfigError, load_config
+from .config import CliConfig, load_config
 from .coordinator import DispatchSettings, ExternalTrainer, SimulatedTrainer
 from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
 from .optimizer import EvaluationFailed, RunConfig, pareto_front, top_decile_medians, write_history_csv
@@ -33,6 +36,11 @@ from .store import Store, StoreError
 logger = logging.getLogger(__name__)
 
 SUMMARY_HEADER = ("samples", "val_score", "val_loss", "inference_time", "test_score", "test_loss")
+AGENT_JOIN_TIMEOUT_S = 30.0
+
+
+class CommandError(Exception):
+    """A command that cannot complete; main prints its message and exits 1."""
 
 
 def _fmt_score(value: float | None) -> str:
@@ -58,13 +66,6 @@ def _print_summary_rows(rows: list[tuple]) -> None:
     widths = [max(len(row[i]) for row in table) for i in range(len(SUMMARY_HEADER))]
     for row in table:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-
-
-def _open_store(path: str) -> Store:
-    try:
-        return Store(path)
-    except StoreError as exc:
-        raise SystemExit(f"error: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,19 +112,15 @@ def _store_path(args: argparse.Namespace, cfg: CliConfig) -> str:
 
 def _cmd_init_store(args: argparse.Namespace, cfg: CliConfig) -> int:
     path = _store_path(args, cfg)
-    try:
-        with Store.initialize(path) as store:
-            print(f"store at {path} ready (schema version {store.schema_version})")
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with Store.initialize(path) as store:
+        print(f"store at {path} ready (schema version {store.schema_version})")
     return 0
 
 
 def _make_trainer(mode: str, cfg: CliConfig):
     if mode == "external":
         if not cfg.run.trainer_command:
-            raise SystemExit("error: run.trainer_command must be configured for --mode external")
+            raise CommandError("run.trainer_command must be configured for --mode external")
         return ExternalTrainer(cfg.run.trainer_command)
     return SimulatedTrainer(cfg.surrogate, duration_s=cfg.run.trainer_duration_s)
 
@@ -136,7 +133,7 @@ def _make_backend(cfg: CliConfig):
 
 @contextlib.contextmanager
 def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
-    """In-process agent thread for single-command simulate runs."""
+    """In-process agent thread for single-command simulate runs; a hung agent fails a successful job."""
     stop = threading.Event()
     thread = threading.Thread(
         target=edge_agent.run_agent_loop,
@@ -149,7 +146,9 @@ def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
         yield
     finally:
         stop.set()
-        thread.join(timeout=30.0)
+        thread.join(timeout=AGENT_JOIN_TIMEOUT_S)
+    if thread.is_alive():
+        raise CommandError(f"embedded agent did not stop within {AGENT_JOIN_TIMEOUT_S} s")
 
 
 def _run_config(cfg: CliConfig, **flags) -> RunConfig:
@@ -175,30 +174,23 @@ def _dispatch(args: argparse.Namespace, cfg: CliConfig, job):
         poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
     )
     trainer = _make_trainer(args.mode, cfg)
-    with _open_store(_store_path(args, cfg)) as store:
+    with Store(_store_path(args, cfg)) as store:
         embed = args.mode == "simulate" and not args.no_embedded_agent
         with _embedded_agent(store, agent_config, _make_backend(cfg)) if embed else contextlib.nullcontext():
             return job(store, trainer, settings)
 
 
 def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
-    try:
-        run_config = _run_config(
-            cfg, population_size=args.population, total_evaluations=args.samples,
-            seed=args.seed, epochs=args.epochs,
-        )
-        summary = _dispatch(
-            args, cfg,
-            lambda store, trainer, settings: coordinator.run_nas(
-                run_config, store, trainer, run_id=args.run_id, settings=settings
-            ),
-        )
-    except ValueError as exc:  # a run configuration RunConfig or the coordinator refuses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    run_config = _run_config(
+        cfg, population_size=args.population, total_evaluations=args.samples,
+        seed=args.seed, epochs=args.epochs,
+    )
+    summary = _dispatch(
+        args, cfg,
+        lambda store, trainer, settings: coordinator.run_nas(
+            run_config, store, trainer, run_id=args.run_id, settings=settings
+        ),
+    )
     history_csv = args.history_csv or cfg.report.history_csv
     if history_csv:
         write_history_csv(summary.history, summary.run_id, history_csv)
@@ -223,9 +215,6 @@ def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
                 store, trainer, run_config, settings=settings
             ),
         )
-    except ValueError as exc:  # a run configuration RunConfig or the coordinator refuses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EvaluationFailed as exc:
         print(f"baseline evaluation failed: {exc}", file=sys.stderr)
         return 1
@@ -249,8 +238,8 @@ def _require_runs(store: Store, run_ids: list[str]) -> None:
     known = store.list_run_ids()
     unknown = [r for r in run_ids if r not in known]
     if unknown:
-        raise SystemExit(
-            f"error: unknown run id(s) {', '.join(unknown)}; known runs: {', '.join(known) or '(none)'}"
+        raise CommandError(
+            f"unknown run id(s) {', '.join(unknown)}; known runs: {', '.join(known) or '(none)'}"
         )
 
 
@@ -273,8 +262,7 @@ def _report_summary(store: Store, run_ids: list[str]) -> int:
             )
         )
     if not by_budget:
-        print("error: no results in the given runs", file=sys.stderr)
-        return 1
+        raise CommandError("no results in the given runs")
 
     def mean_or_none(values):
         values = [v for v in values if v is not None]
@@ -316,9 +304,8 @@ def _report_medians(store: Store, run_ids: list[str]) -> int:
                 entries.append((decode(architecture.spec_document), result.score))
     try:
         report = top_decile_medians(entries)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # too few candidates
+        raise CommandError(str(exc)) from exc
     print(f"top-decile medians over {len(entries)} candidates ({report.sample_count} selected):")
     for f in FIELDS:
         print(f"  {f.name:<15}{format(f.to_document(getattr(report, f.name)), f.report_format)}")
@@ -326,7 +313,7 @@ def _report_medians(store: Store, run_ids: list[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, cfg: CliConfig) -> int:
-    with _open_store(_store_path(args, cfg)) as store:
+    with Store(_store_path(args, cfg)) as store:
         _require_runs(store, args.run_ids)
         if args.kind == "summary":
             return _report_summary(store, args.run_ids)
@@ -339,7 +326,7 @@ def _cmd_agent(args: argparse.Namespace, cfg: CliConfig) -> int:
     agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     backend = _make_backend(cfg)
     stop = threading.Event()
-    with _open_store(_store_path(args, cfg)) as store:
+    with Store(_store_path(args, cfg)) as store:
         try:
             processed = edge_agent.run_agent_loop(agent_config, store, stop, backend, once=args.once)
         except KeyboardInterrupt:
@@ -355,11 +342,6 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "init-store": _cmd_init_store,
         "run": _cmd_run,
@@ -368,12 +350,13 @@ def main(argv: list[str] | None = None) -> int:
         "agent": _cmd_agent,
     }
     try:
-        return handlers[args.command](args, cfg)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        raise
+        return handlers[args.command](args, load_config(args.config))
+    except ValueError as exc:  # the config file, a run configuration or the coordinator refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (StoreError, CommandError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -21,7 +21,7 @@ from typing import Protocol
 
 from . import cost_model
 from .optimizer import derive_seed
-from .search_space import DocumentError, HyperparamSpec, decode, to_document_dict
+from .search_space import DocumentError, HyperparamSpec, decode, to_document_dict, validate
 from .store import EdgeMeasurement, Role, Store, StoreError
 
 logger = logging.getLogger(__name__)
@@ -85,29 +85,29 @@ def run_command(command: list[str], payload: str, timeout_s: float, label: str, 
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
-    One noise stream, that of the last (spec, batch size), is kept: it is
-    seeded from that pair and restarts whenever the pair changes, so
-    reported values do not depend on the order the agent drains its queue
-    and memory does not grow with the specs seen. call_duration_s stalls
-    each call to emulate real measurement time.
+    One noise stream, that of the last (spec, batch size), is kept with the
+    spec's memory figure: it is seeded from that pair and restarts whenever
+    the pair changes, so reported values do not depend on the order the
+    agent drains its queue and memory does not grow with the specs seen.
+    call_duration_s stalls each call to emulate real measurement time.
     """
 
     def __init__(self, profile: cost_model.DeviceProfile, seed: int = 0, call_duration_s: float = 0.0):
         self.profile = profile
         self.seed = seed
         self.call_duration_s = call_duration_s
-        self._stream: tuple[HyperparamSpec, int, random.Random] | None = None
+        self._stream: tuple[HyperparamSpec, int, random.Random, float] | None = None
 
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample:
         if self.call_duration_s > 0:
             time.sleep(self.call_duration_s)
         if self._stream is None or self._stream[:2] != (spec, batch_size):
             key = json.dumps(to_document_dict(spec), sort_keys=True)
-            self._stream = (spec, batch_size, random.Random(derive_seed(self.seed, key, batch_size)))
+            # synthetic placeholder for the auxiliary memory metric
+            memory_mb = cost_model.param_count(spec) * 4 / 1e6
+            self._stream = (spec, batch_size, random.Random(derive_seed(self.seed, key, batch_size)), memory_mb)
         latency = cost_model.synthetic_latency(spec, batch_size, self.profile, self._stream[2])
-        # synthetic placeholders for the auxiliary metrics
-        memory_mb = cost_model.param_count(spec) * 4 / 1e6
-        return InferenceSample(latency_ms=latency, memory_mb=memory_mb, cpu_util=12.5, gpu_util=62.5)
+        return InferenceSample(latency_ms=latency, memory_mb=self._stream[3], cpu_util=12.5, gpu_util=62.5)
 
 
 class ExternalBackend:
@@ -211,10 +211,10 @@ def run_agent_loop(
 ) -> int:
     """Poll-measure-report until stop_signal (or backlog drained with once).
 
-    Undecodable spec documents are skipped and logged, never crash the
-    loop. Store connectivity errors back off exponentially (capped at
-    30 s). The in-flight architecture is completed before a stop takes
-    effect. Returns the number of architectures measured.
+    Undecodable and out-of-range spec documents are skipped alike: logged
+    once, never measured. Store connectivity errors back off exponentially
+    (capped at 30 s). The in-flight architecture is completed before a
+    stop takes effect. Returns the number of architectures measured.
     """
     skipped: set[int] = set()
     attempted: set[int] = set()
@@ -242,8 +242,11 @@ def run_agent_loop(
         for record in pending:
             try:
                 spec = decode(record.spec_document)
+                problem = "; ".join(validate(spec, "baseline"))
             except DocumentError as exc:
-                logger.error("skipping architecture %s: undecodable document (%s)", record.id, exc)
+                problem = f"undecodable document ({exc})"
+            if problem:
+                logger.error("skipping architecture %s: %s", record.id, problem)
                 skipped.add(record.id)
                 continue
             rows = measure(spec, config, backend, architecture_id=record.id)

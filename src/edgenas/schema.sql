@@ -26,7 +26,7 @@ CREATE TABLE IF NOT EXISTS edge_measurement (
     cpu_util        REAL    NOT NULL DEFAULT 0 CHECK (cpu_util >= 0),
     gpu_util        REAL    NOT NULL DEFAULT 0 CHECK (gpu_util >= 0),
     measured_at     TEXT    NOT NULL,
-    UNIQUE (architecture_id, device_type, batch_size)
+    UNIQUE (architecture_id, device_type, batch_size)  -- its index serves every lookup by architecture
 );
 
 CREATE TABLE IF NOT EXISTS benchmark_result (
@@ -50,6 +50,5 @@ CREATE TABLE IF NOT EXISTS run_metadata (
     summary_document TEXT
 );
 
-CREATE INDEX IF NOT EXISTS idx_measurement_arch ON edge_measurement (architecture_id, device_type, batch_size);
 CREATE INDEX IF NOT EXISTS idx_result_run ON benchmark_result (run_id);
 CREATE INDEX IF NOT EXISTS idx_architecture_created ON network_architecture (created_at);

@@ -5,12 +5,13 @@ ops; the DDL in schema.sql is portable SQL, so a hosted relational server
 is a drop-in alternative. Write permissions follow the deployment's grant
 model: the optimizer account inserts architectures and benchmark results,
 the edge account inserts measurements only, and everyone reads everything.
-Every public operation executes as one transaction; a handle is safe to
-share across threads.
+Every public operation executes as one transaction and raises only
+StoreError subclasses; a handle is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import json
@@ -138,18 +139,12 @@ _RUN_INSERT = _insert_sql("run_metadata", RunMetadata, ("run_id",))
 _RESULT_COLUMNS = ", ".join(f"b.{f.name} AS b_{f.name}" for f in dataclasses.fields(BenchmarkResult))
 
 
-def _integrity_error(exc: sqlite3.IntegrityError, architecture_id: int) -> StoreError:
-    if "FOREIGN KEY" in str(exc):
-        return UnknownArchitectureError(f"architecture {architecture_id} does not exist")
-    return ValidationError(str(exc))
-
-
 def _schema_sql() -> str:
     return resources.files("edgenas").joinpath("schema.sql").read_text(encoding="utf-8")
 
 
 class Store:
-    """Thread-safe handle on one store; every operation is atomic.
+    """Thread-safe handle on one store; every operation is atomic, every failure a StoreError.
 
     Opening refuses, and leaves as it was, a file that is not SQLite, a
     newer schema version or tables without our version. A missing or empty
@@ -163,7 +158,10 @@ class Store:
         conn = None
         version = tables = 0  # a missing file reads as empty, and only create makes it
         if create or os.path.exists(path):
-            conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
+            try:
+                conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
+            except sqlite3.Error as exc:  # a directory, or a missing parent directory
+                raise StoreError(f"store at {path}: {exc}") from exc
             try:
                 # read before any PRAGMA that writes, so that a refused file is left as it was
                 version = conn.execute("PRAGMA user_version").fetchone()[0]
@@ -186,11 +184,11 @@ class Store:
             raise refusal
         self._conn = conn
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.execute("PRAGMA busy_timeout = 30000")
-        self._conn.execute("PRAGMA journal_mode = WAL")
-        if version < SCHEMA_VERSION:
-            with self._lock, self._conn:
+        with self._transaction():
+            self._conn.execute("PRAGMA foreign_keys = ON")
+            self._conn.execute("PRAGMA busy_timeout = 30000")
+            self._conn.execute("PRAGMA journal_mode = WAL")
+            if version < SCHEMA_VERSION:
                 self._conn.executescript(_schema_sql())
                 self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
@@ -201,7 +199,7 @@ class Store:
 
     @property
     def schema_version(self) -> int:
-        with self._lock:
+        with self._transaction():
             return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
     def close(self) -> None:
@@ -213,6 +211,19 @@ class Store:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    @contextlib.contextmanager
+    def _transaction(self, architecture_id: int | None = None):
+        """One transaction under the lock; SQLite errors leave as StoreErrors naming architecture_id or the path."""
+        try:
+            with self._lock, self._conn:
+                yield
+        except sqlite3.IntegrityError as exc:
+            if "FOREIGN KEY" in str(exc):
+                raise UnknownArchitectureError(f"architecture {architecture_id} does not exist") from exc
+            raise ValidationError(str(exc)) from exc
+        except sqlite3.Error as exc:
+            raise StoreError(f"store at {self.path}: {exc}") from exc
 
     @staticmethod
     def _require(role: Role, allowed: Role, table: str) -> None:
@@ -239,7 +250,7 @@ class Store:
             raise ValidationError("device_targets must be non-empty")
         created_at = record.created_at or utc_now()
         targets = json.dumps(sorted(record.device_targets))
-        with self._lock, self._conn:
+        with self._transaction():
             self._conn.execute(
                 "INSERT OR IGNORE INTO network_architecture"
                 " (run_id, lineage_id, spec_document, device_targets, created_at)"
@@ -281,7 +292,7 @@ class Store:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit)
-        with self._lock, self._conn:
+        with self._transaction():
             rows = self._conn.execute(sql, params).fetchall()
         return [self._architecture_from_row(r) for r in rows]
 
@@ -292,7 +303,7 @@ class Store:
         return record
 
     def get_architecture(self, architecture_id: int) -> ArchitectureRecord | None:
-        with self._lock, self._conn:
+        with self._transaction():
             row = self._conn.execute(
                 "SELECT * FROM network_architecture WHERE id = ?", (architecture_id,)
             ).fetchone()
@@ -302,20 +313,17 @@ class Store:
 
     def insert_measurement(self, role: Role, measurement: EdgeMeasurement) -> int:
         self._require(role, Role.EDGE_AGENT, "edge_measurement")
-        try:
-            with self._lock, self._conn:
-                self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
-                row = self._conn.execute(
-                    "SELECT id FROM edge_measurement"
-                    " WHERE architecture_id = ? AND device_type = ? AND batch_size = ?",
-                    (measurement.architecture_id, measurement.device_type, measurement.batch_size),
-                ).fetchone()
-        except sqlite3.IntegrityError as exc:
-            raise _integrity_error(exc, measurement.architecture_id) from exc
+        with self._transaction(measurement.architecture_id):
+            self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
+            row = self._conn.execute(
+                "SELECT id FROM edge_measurement"
+                " WHERE architecture_id = ? AND device_type = ? AND batch_size = ?",
+                (measurement.architecture_id, measurement.device_type, measurement.batch_size),
+            ).fetchone()
         return row["id"]
 
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
-        with self._lock, self._conn:
+        with self._transaction():
             rows = self._conn.execute(
                 "SELECT * FROM edge_measurement WHERE architecture_id = ? AND device_type = ?"
                 " ORDER BY batch_size ASC",
@@ -332,16 +340,13 @@ class Store:
             raise ConsistencyError(
                 f"score {result.score!r} != val_loss*1000 + inference_time_ms = {expected!r}"
             )
-        try:
-            with self._lock, self._conn:
-                cur = self._insert(_RESULT_INSERT, result, created_at=result.created_at or utc_now())
-        except sqlite3.IntegrityError as exc:
-            raise _integrity_error(exc, result.architecture_id) from exc
+        with self._transaction(result.architecture_id):
+            cur = self._insert(_RESULT_INSERT, result, created_at=result.created_at or utc_now())
         return cur.lastrowid
 
     def query_results(self, run_id: str) -> list[tuple[BenchmarkResult, ArchitectureRecord]]:
         """Full evaluation trace of a run, joined with the architectures."""
-        with self._lock, self._conn:
+        with self._transaction():
             rows = self._conn.execute(
                 f"SELECT {_RESULT_COLUMNS}, a.*"
                 " FROM benchmark_result b JOIN network_architecture a ON b.architecture_id = a.id"
@@ -354,15 +359,15 @@ class Store:
 
     def upsert_run_metadata(self, role: Role, metadata: RunMetadata) -> None:
         self._require(role, Role.OPTIMIZER, "run_metadata")
-        with self._lock, self._conn:
+        with self._transaction():
             self._insert(_RUN_INSERT, metadata, started_at=metadata.started_at or utc_now())
 
     def get_run_metadata(self, run_id: str) -> RunMetadata | None:
-        with self._lock, self._conn:
+        with self._transaction():
             row = self._conn.execute("SELECT * FROM run_metadata WHERE run_id = ?", (run_id,)).fetchone()
         return _from_row(RunMetadata, row) if row else None
 
     def list_run_ids(self) -> list[str]:
-        with self._lock, self._conn:
+        with self._transaction():
             rows = self._conn.execute("SELECT run_id FROM run_metadata ORDER BY run_id").fetchall()
         return [r["run_id"] for r in rows]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import sqlite3
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import edgenas
 from conftest import add_failing_trigger
 from edgenas.search_space import default_config, encode
 from edgenas.store import (
@@ -370,3 +372,16 @@ def test_write_refused_by_sqlite_is_store_error(store):
     with pytest.raises(StoreError, match=f"store at {store.path}: no such function: boom"):
         store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id))
     assert store.get_measurements(arch_id, DEVICE) == []
+
+
+def test_only_the_store_imports_sqlite3():
+    """SQLite errors stay behind the store only while no other module can name them."""
+    importers = []
+    for path in sorted(Path(edgenas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] == "sqlite3" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["store.py"]
