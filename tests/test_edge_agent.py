@@ -206,17 +206,17 @@ def test_agent_survives_a_write_refused_by_sqlite(store, quiet_profile, caplog):
     assert "no such function: boom" in caplog.text
 
 
-def test_agent_skips_out_of_range_document_once(store):
+def test_agent_skips_out_of_range_document_once(store, caplog):
     # a foreign writer posts a document that decodes but is out of range; the API itself refuses it
     document = json.loads(encode(default_config()))
     document["mlp_ratio"] = 7
     conn = sqlite3.connect(store.path)
     try:
-        conn.execute(
+        arch_id = conn.execute(
             "INSERT INTO network_architecture (run_id, lineage_id, spec_document, device_targets, created_at)"
             " VALUES ('foreign', 0, ?, '[\"sim-edge\"]', '2026-01-01T00:00:00.000+00:00')",
             (json.dumps(document),),
-        )
+        ).lastrowid
         conn.commit()
     finally:
         conn.close()
@@ -224,7 +224,10 @@ def test_agent_skips_out_of_range_document_once(store):
     processed = run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), backend, once=True)
     assert processed == 0
     assert backend.calls == []
-    assert store.get_measurements(1, DEVICE) == []
+    assert store.get_measurements(arch_id, DEVICE) == []
+    assert [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()] == [
+        f"skipping architecture {arch_id}: mlp_ratio: 7 not in [1, 2, 3, 4]"
+    ]
 
 
 # -- external backend protocol -------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
+import re
 import sqlite3
 import threading
 from pathlib import Path
@@ -340,7 +341,7 @@ def test_empty_file_needs_create(tmp_path):
 
 
 def test_directory_path_is_store_error(tmp_path):
-    with pytest.raises(StoreError, match=f"store at {tmp_path}"):
+    with pytest.raises(StoreError, match=re.escape(f"store at {tmp_path}: ")):
         Store(str(tmp_path), create=True)
 
 
@@ -369,7 +370,7 @@ def test_closed_store_is_store_error(store, call):
 def test_write_refused_by_sqlite_is_store_error(store):
     arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
     add_failing_trigger(store.path, "edge_measurement")
-    with pytest.raises(StoreError, match=f"store at {store.path}: no such function: boom"):
+    with pytest.raises(StoreError, match=re.escape(f"store at {store.path}: no such function: boom")):
         store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id))
     assert store.get_measurements(arch_id, DEVICE) == []
 
