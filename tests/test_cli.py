@@ -185,3 +185,29 @@ def test_hung_embedded_agent_fails_the_command(cli, tmp_path, monkeypatch, capsy
             if thread.name == "embedded-agent":
                 thread.join(timeout=5)
                 assert not thread.is_alive()
+
+
+def test_unwritable_history_csv_is_one_error_line(cli, tmp_path, capsys):
+    cli("init-store")
+    target = tmp_path / "missing" / "h.csv"
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
+    assert main([*argv, "run", "--samples", "1", "--population", "1", "--history-csv", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert len(err.splitlines()) == 1
+    # the search finished before the CSV was written, so its results are in the store
+    assert main([*argv, "report", "summary", "--run-ids", "run-s0-n1-p1"]) == 0
+
+
+def test_pareto_out_on_a_regular_file_is_one_error_line(cli, tmp_path, capsys):
+    cli("init-store")
+    cli("baseline")
+    not_a_dir = tmp_path / "notes.txt"
+    not_a_dir.write_text("x\n")
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
+    assert main([*argv, "report", "pareto", "--run-ids", "baseline", "--out", str(not_a_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(not_a_dir) in err
+    assert len(err.splitlines()) == 1

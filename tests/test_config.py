@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from edgenas.cli import main
@@ -152,3 +154,13 @@ def test_malformed_sections_fail_cleanly(write_config, capsys, text, message):
     assert str(info.value) == message
     assert main(["--config", path, "init-store"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(tmp_path))} cannot be read: "):
+        load_config(str(tmp_path))
+    assert main(["--config", str(tmp_path), "init-store"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config file {tmp_path} cannot be read: ")
+    assert len(err.splitlines()) == 1

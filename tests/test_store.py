@@ -386,3 +386,19 @@ def test_only_the_store_imports_sqlite3():
             if any(name.split(".")[0] == "sqlite3" for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["store.py"]
+
+
+def test_store_imports_only_the_optimizer_and_the_search_space():
+    """The store sits below the agent and the coordinator; an import of either, even lazy, is a cycle."""
+    source = Path(edgenas.__file__).parent / "store.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # a relative import is one from the edgenas package
+            base = ".".join(filter(None, ["edgenas" if node.level else "", node.module]))
+            names = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in names if name.startswith("edgenas."))
+    assert imported <= {"optimizer", "search_space"}
