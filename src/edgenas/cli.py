@@ -9,8 +9,9 @@
 All numeric output uses fixed formats: scores and losses with 4 decimals,
 latency with 2 decimals plus "ms".
 
-Exit codes: 0 done; 1 the command failed (store, run ids, evaluations);
-2 a bad command line or configuration. Only main prints "error: ...".
+Exit codes: 0 done; 1 the command failed (store, run ids, evaluations, an
+output file could not be written); 2 a bad command line or configuration.
+Only main prints "error: ...".
 """
 
 from __future__ import annotations
@@ -274,8 +275,7 @@ def _report_summary(store: Store, run_ids: list[str]) -> int:
     if baseline_time is not None:
         for budget, _, _, time_ms, _, _ in rows:
             if budget != 0 and time_ms:
-                factor = coordinator.improvement_factor(baseline_time, time_ms)
-                print(f"inference speedup vs baseline at {budget} samples: x{factor:.2f}")
+                print(f"inference speedup vs baseline at {budget} samples: x{baseline_time / time_ms:.2f}")
     return 0
 
 
@@ -284,7 +284,7 @@ def _report_pareto(store: Store, run_ids: list[str], out_dir: str) -> int:
     for run_id in run_ids:
         rows = [r for r, _ in store.query_results(run_id) if r.split == "validation"]
         points = [(r.val_loss, r.inference_time_ms, r.id) for r in rows]
-        front = set(pareto_front(points)) if points else set()
+        front = set(pareto_front(points))
         path = os.path.join(out_dir, f"pareto_{run_id}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # the config file, a run configuration or the coordinator refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StoreError, CommandError) as exc:
+    except (StoreError, CommandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -153,8 +153,8 @@ def load_config(path: str | None = None) -> CliConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
         if loaded is not None and not isinstance(loaded, dict):

@@ -112,7 +112,7 @@ def dispatch_candidate(
     run_id: str,
     lineage_id: int,
     candidate_seed: int,
-    settings: DispatchSettings = DispatchSettings(),
+    settings: DispatchSettings,
 ) -> ScoreBreakdown:
     """Post architecture, train, then read back the overlapped measurement.
 
@@ -256,16 +256,12 @@ def default_run_id(run_config: RunConfig) -> str:
 
 
 def evaluate_baseline(
-    store: Store,
-    trainer: TrainerBackend,
-    run_config: RunConfig | None = None,
-    settings: DispatchSettings = DispatchSettings(),
+    store: Store, trainer: TrainerBackend, run_config: RunConfig, settings: DispatchSettings
 ) -> ScoreBreakdown:
     """Push the expert default through the identical pipeline (run id 'baseline').
 
     Raises EvaluationFailed as dispatch_candidate does.
     """
-    run_config = run_config or RunConfig(population_size=1, total_evaluations=1)
     _check_score_batch_size(run_config, settings)
     config_document = json.dumps(
         {"population_size": 0, "total_evaluations": 0, "seed": run_config.seed, "baseline": True},
@@ -280,10 +276,3 @@ def evaluate_baseline(
         run_id=BASELINE_RUN_ID, lineage_id=0,
         candidate_seed=derive_seed(run_config.seed, "baseline"), settings=settings,
     )
-
-
-def improvement_factor(baseline_time_ms: float, best_time_ms: float) -> float:
-    """How many times faster the best model runs compared to the baseline."""
-    if best_time_ms <= 0:
-        raise ValueError("best_time_ms must be > 0")
-    return baseline_time_ms / best_time_ms

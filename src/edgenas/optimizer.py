@@ -87,8 +87,11 @@ class EvalRecord:
     spec: HyperparamSpec
     breakdown: ScoreBreakdown | None
     accepted: bool = False  # set by run_ea's selection
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.breakdown is None
 
     @property
     def score(self) -> float:
@@ -130,9 +133,6 @@ class RunHistory:
             return None
         return min(candidates, key=lambda r: (r.score, r.eval_index))
 
-    def lineage_trace(self, lineage_id: int) -> list[EvalRecord]:
-        return [r for r in self.records if r.lineage_id == lineage_id]
-
 
 def derive_seed(*parts: Any) -> int:
     """Stable 64-bit seed from arbitrary labels (never the salted hash())."""
@@ -161,7 +161,7 @@ def run_ea(config: RunConfig, evaluator: Evaluator) -> RunHistory:
         try:
             return EvalRecord(*identity, evaluator(spec, ctx))
         except Exception as exc:
-            return EvalRecord(*identity, None, failed=True, error=str(exc))
+            return EvalRecord(*identity, None, error=str(exc))
 
     population = config.population_size
     parents: list[EvalRecord | None] = [None] * population
@@ -199,17 +199,13 @@ def pareto_front(points: Iterable[tuple[float, float, Any]]) -> list[Any]:
             raise ValueError("pareto_front requires finite coordinates")
     items.sort(key=lambda p: (p[1], p[0]))
     front: list[Any] = []
-    best_loss = math.inf
-    i = 0
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j][1] == items[i][1]:
-            j += 1
-        group_min = min(p[0] for p in items[i:j])
-        if group_min < best_loss:
-            front.extend(p[2] for p in items[i:j] if p[0] == group_min)
-            best_loss = group_min
-        i = j
+    last = (math.inf, math.inf)  # (loss, time) of the last point kept
+    for val_loss, time_ms, pid in items:
+        # sorted by time, a point is undominated when no earlier point has a loss as low,
+        # unless that earlier point is its exact duplicate
+        if val_loss < last[0] or (val_loss, time_ms) == last:
+            front.append(pid)
+            last = (val_loss, time_ms)
     return front
 
 
@@ -220,26 +216,12 @@ class MedianReport(HyperparamSpec):
     sample_count: int
 
 
-def _entries_from_history(source) -> list[tuple[HyperparamSpec, float]]:
-    if isinstance(source, RunHistory):
-        return [(r.spec, r.score) for r in source.ok_records()]
-    source = list(source)
-    if source and isinstance(source[0], RunHistory):
-        entries: list[tuple[HyperparamSpec, float]] = []
-        for history in source:
-            entries.extend((r.spec, r.score) for r in history.ok_records())
-        return entries
-    return [(spec, float(value)) for spec, value in source]
+def top_decile_medians(entries: list[tuple[HyperparamSpec, float]]) -> MedianReport:
+    """Per-field medians of the ceil(n/10) lowest-score of the (spec, score) entries.
 
-
-def top_decile_medians(source) -> MedianReport:
-    """Per-field medians of the ceil(n/10) lowest-score candidates.
-
-    Accepts a RunHistory, an iterable of RunHistory (merged), or bare
-    (spec, score) pairs. Vector fields report element-wise medians;
-    categorical fields use the lower median on even counts.
+    Vector fields report element-wise medians; categorical fields use the
+    lower median on even counts.
     """
-    entries = _entries_from_history(source)
     if len(entries) < 10:
         raise ValueError(f"need at least 10 evaluated candidates, got {len(entries)}")
     k = math.ceil(len(entries) / 10)

@@ -3,8 +3,14 @@
 Backed by a single-file SQLite database so that desk-scale runs need zero
 ops; the DDL in schema.sql is portable SQL, so a hosted relational server
 is a drop-in alternative. Write permissions follow the deployment's grant
-model: the optimizer account inserts architectures and benchmark results,
-the edge account inserts measurements only, and everyone reads everything.
+model, and everyone reads everything:
+- the optimizer posts architectures (insert_architecture), scores them
+  (insert_benchmark_result) and records its runs (upsert_run_metadata);
+- the edge agent polls for architectures that miss a measurement
+  (poll_unmeasured) and upserts measurements (insert_measurement);
+- readers take an architecture's measurements (get_measurements), a run's
+  results joined with their architectures (query_results) and the runs
+  (get_run_metadata, list_run_ids).
 Every public operation executes as one transaction and raises only
 StoreError subclasses; a handle is safe to share across threads.
 """
@@ -186,7 +192,6 @@ class Store:
         self._conn.row_factory = sqlite3.Row
         with self._transaction():
             self._conn.execute("PRAGMA foreign_keys = ON")
-            self._conn.execute("PRAGMA busy_timeout = 30000")
             self._conn.execute("PRAGMA journal_mode = WAL")
             if version < SCHEMA_VERSION:
                 self._conn.executescript(_schema_sql())
@@ -264,21 +269,10 @@ class Store:
         return row["id"]
 
     def poll_unmeasured(
-        self,
-        role: Role,
-        device_type: str,
-        batch_sizes: tuple[int, ...] | None = None,
-        limit: int | None = None,
+        self, role: Role, device_type: str, batch_sizes: tuple[int, ...]
     ) -> list[ArchitectureRecord]:
-        """Architectures targeting device_type that miss any configured batch size.
-
-        batch_sizes defaults to those of a default AgentConfig.
-        """
+        """Architectures targeting device_type that miss any of batch_sizes, oldest first."""
         del role  # every role may read
-        if batch_sizes is None:
-            from .edge_agent import AgentConfig  # edge_agent imports this module
-
-            batch_sizes = AgentConfig.batch_sizes
         placeholders = ",".join("?" for _ in batch_sizes)
         sql = (
             "SELECT a.* FROM network_architecture a"
@@ -288,10 +282,7 @@ class Store:
             f"        AND m.batch_size IN ({placeholders})) < ?"
             " ORDER BY a.created_at ASC, a.id ASC"
         )
-        params: list = [device_type, device_type, *batch_sizes, len(batch_sizes)]
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(limit)
+        params = [device_type, device_type, *batch_sizes, len(batch_sizes)]
         with self._transaction():
             rows = self._conn.execute(sql, params).fetchall()
         return [self._architecture_from_row(r) for r in rows]
@@ -302,25 +293,13 @@ class Store:
         record.device_targets = json.loads(record.device_targets)
         return record
 
-    def get_architecture(self, architecture_id: int) -> ArchitectureRecord | None:
-        with self._transaction():
-            row = self._conn.execute(
-                "SELECT * FROM network_architecture WHERE id = ?", (architecture_id,)
-            ).fetchone()
-        return self._architecture_from_row(row) if row else None
-
     # -- edge_measurement ----------------------------------------------------
 
-    def insert_measurement(self, role: Role, measurement: EdgeMeasurement) -> int:
+    def insert_measurement(self, role: Role, measurement: EdgeMeasurement) -> None:
+        """Insert, or replace the row of the same architecture, device and batch size."""
         self._require(role, Role.EDGE_AGENT, "edge_measurement")
         with self._transaction(measurement.architecture_id):
             self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
-            row = self._conn.execute(
-                "SELECT id FROM edge_measurement"
-                " WHERE architecture_id = ? AND device_type = ? AND batch_size = ?",
-                (measurement.architecture_id, measurement.device_type, measurement.batch_size),
-            ).fetchone()
-        return row["id"]
 
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
         with self._transaction():

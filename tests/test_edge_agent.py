@@ -130,7 +130,7 @@ def test_agent_once_drains_backlog(store, quiet_profile):
     backend = SimulatedBackend(quiet_profile)
     processed = run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), backend, once=True)
     assert processed == 3
-    assert store.poll_unmeasured(Role.READER, DEVICE) == []
+    assert store.poll_unmeasured(Role.READER, DEVICE, (1, 2, 4, 8)) == []
     for arch_id in ids:
         assert len(store.get_measurements(arch_id, DEVICE)) == 4
 

@@ -82,7 +82,7 @@ def history_csv_digest(tmp_path, seed: int, noisy: bool) -> str:
 
 def median_report_values(seed: int) -> tuple:
     history = run_ea(RunConfig(population_size=8, total_evaluations=64, seed=seed), make_sim_evaluator())
-    report = top_decile_medians(history)
+    report = top_decile_medians([(r.spec, r.score) for r in history.ok_records()])
     return tuple(getattr(report, name) for name in FIELD_NAMES) + (report.sample_count,)
 
 

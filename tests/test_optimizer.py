@@ -11,7 +11,6 @@ from conftest import brute_force_front, make_sim_evaluator
 from edgenas.optimizer import (
     EvaluationFailed,
     HISTORY_CSV_COLUMNS,
-    MedianReport,
     RunConfig,
     RunHistory,
     ScoreBreakdown,
@@ -144,7 +143,7 @@ def test_elitism_accepted_scores_strictly_decrease():
     config = RunConfig(population_size=8, total_evaluations=64, seed=7)
     history = run_ea(config, make_sim_evaluator())
     for lineage in range(8):
-        accepted = [r.score for r in history.lineage_trace(lineage) if r.accepted]
+        accepted = [r.score for r in history.records if r.lineage_id == lineage and r.accepted]
         assert all(a > b for a, b in zip(accepted, accepted[1:]))
     # global best-so-far is non-increasing in evaluation order
     best = math.inf
@@ -248,16 +247,6 @@ def test_medians_requires_ten_candidates():
     entries = [(sample(rng), 1.0) for _ in range(9)]
     with pytest.raises(ValueError):
         top_decile_medians(entries)
-
-
-def test_medians_accepts_run_history_and_merged_histories():
-    config = RunConfig(population_size=4, total_evaluations=12, seed=13)
-    history_a = run_ea(config, make_sim_evaluator())
-    history_b = run_ea(RunConfig(population_size=4, total_evaluations=12, seed=14), make_sim_evaluator())
-    single = top_decile_medians(history_a)
-    merged = top_decile_medians([history_a, history_b])
-    assert isinstance(single, MedianReport) and isinstance(merged, MedianReport)
-    assert merged.sample_count == math.ceil(24 / 10)
 
 
 def test_medians_report_all_shared_embed_dim():

@@ -28,6 +28,7 @@ from edgenas.store import (
 )
 
 DEVICE = "sim-edge"
+BATCH_SIZES = (1, 2, 4, 8)
 
 
 def _arch(run_id="r1", lineage=0, spec=None, targets=(DEVICE,)):
@@ -85,7 +86,7 @@ def test_permission_matrix_all_nine_combinations(store):
 
 def test_insert_architecture_visible_to_poll(store):
     arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
-    polled = store.poll_unmeasured(Role.EDGE_AGENT, DEVICE)
+    polled = store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES)
     assert [r.id for r in polled] == [arch_id]
 
 
@@ -93,7 +94,7 @@ def test_insert_architecture_idempotent(store):
     first = store.insert_architecture(Role.OPTIMIZER, _arch())
     second = store.insert_architecture(Role.OPTIMIZER, _arch())
     assert first == second
-    assert len(store.poll_unmeasured(Role.READER, DEVICE)) == 1
+    assert len(store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)) == 1
 
 
 def test_insert_architecture_rejects_bad_document(store):
@@ -112,10 +113,10 @@ def test_poll_excludes_complete_measurement_sets(store):
     arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
     for batch in (1, 2):
         store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, batch))
-    assert len(store.poll_unmeasured(Role.READER, DEVICE)) == 1  # incomplete set
+    assert len(store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)) == 1  # incomplete set
     for batch in (4, 8):
         store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, batch))
-    assert store.poll_unmeasured(Role.READER, DEVICE) == []
+    assert store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES) == []
 
 
 def test_poll_filters_by_device_type_and_orders_by_created_at(store):
@@ -128,16 +129,10 @@ def test_poll_filters_by_device_type_and_orders_by_created_at(store):
     c = store.insert_architecture(
         Role.OPTIMIZER, ArchitectureRecord("r1", 2, encode(default_config()), [DEVICE, "other-device"], created_at="2026-01-01T00:00:00.000+00:00")
     )
-    polled = store.poll_unmeasured(Role.EDGE_AGENT, DEVICE)
+    polled = store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES)
     assert [r.id for r in polled] == [c, b]
-    other = store.poll_unmeasured(Role.EDGE_AGENT, "other-device")
+    other = store.poll_unmeasured(Role.EDGE_AGENT, "other-device", BATCH_SIZES)
     assert [r.id for r in other] == [c, a]
-
-
-def test_poll_respects_limit(store):
-    for lineage in range(5):
-        store.insert_architecture(Role.OPTIMIZER, _arch(lineage=lineage))
-    assert len(store.poll_unmeasured(Role.READER, DEVICE, limit=3)) == 3
 
 
 def test_remeasurement_last_writer_wins(store):
@@ -221,8 +216,7 @@ def test_durability_across_reopen(tmp_path):
     with Store.initialize(path) as store:
         arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
     with Store(path) as reopened:
-        assert reopened.get_architecture(arch_id) is not None
-        assert len(reopened.poll_unmeasured(Role.READER, DEVICE)) == 1
+        assert [r.id for r in reopened.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)] == [arch_id]
 
 
 def test_open_uninitialized_store_fails(tmp_path):
@@ -262,7 +256,7 @@ def test_initialize_idempotent(tmp_path):
         store.insert_architecture(Role.OPTIMIZER, _arch())
     with Store.initialize(path) as again:
         assert again.schema_version == 1
-        assert len(again.poll_unmeasured(Role.READER, DEVICE)) == 1
+        assert len(again.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)) == 1
 
 
 def test_concurrent_writers_and_pollers(store):
@@ -281,7 +275,7 @@ def test_concurrent_writers_and_pollers(store):
     def poller():
         try:
             for _ in range(50):
-                for record in store.poll_unmeasured(Role.READER, DEVICE):
+                for record in store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES):
                     assert record.spec_document  # never a partial row
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
@@ -293,14 +287,14 @@ def test_concurrent_writers_and_pollers(store):
     for t in threads:
         t.join()
     assert errors == []
-    assert store.poll_unmeasured(Role.READER, DEVICE) == []  # all 100 became complete
+    assert store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES) == []  # all 100 became complete
 
 
 def test_cross_handle_visibility(tmp_path):
     path = str(tmp_path / "shared.sqlite")
     with Store.initialize(path) as a, Store(path) as b:
         arch_id = a.insert_architecture(Role.OPTIMIZER, _arch())
-        assert [r.id for r in b.poll_unmeasured(Role.READER, DEVICE)] == [arch_id]
+        assert [r.id for r in b.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)] == [arch_id]
 
 
 def _foreign_file(tmp_path, kind: str) -> str:
