@@ -196,8 +196,8 @@ def test_unwritable_history_csv_is_one_error_line(cli, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert len(err.splitlines()) == 1
-    # the search finished before the CSV was written, so its results are in the store
-    assert main([*argv, "report", "summary", "--run-ids", "run-s0-n1-p1"]) == 0
+    # the path is refused before the search posts anything, so the store holds no run
+    assert main([*argv, "report", "summary", "--run-ids", "run-s0-n1-p1"]) == 1
 
 
 def test_pareto_out_on_a_regular_file_is_one_error_line(cli, tmp_path, capsys):

@@ -4,10 +4,18 @@ import contextlib
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
-from edgenas.coordinator import DispatchSettings, ExternalTrainer, SimulatedTrainer, TrainerError, run_nas
+from edgenas.coordinator import (
+    DispatchSettings,
+    ExternalTrainer,
+    SimulatedTrainer,
+    TrainerError,
+    evaluate_baseline,
+    run_nas,
+)
 from edgenas.cost_model import DeviceProfile
 from edgenas.edge_agent import AgentConfig, SimulatedBackend, run_agent_loop
 from edgenas.optimizer import RunConfig, derive_seed
@@ -49,13 +57,12 @@ FAST = DispatchSettings(poll_interval_s=0.001)
 
 
 @contextlib.contextmanager
-def _agent(store: Store, call_duration_s: float = 0.0):
+def _agent(store: Store, call_duration_s: float = 0.0, device_type: str = AgentConfig.device_type):
     """run_agent_loop on a thread, as `edgenas run` embeds it."""
     stop = threading.Event()
     backend = SimulatedBackend(DeviceProfile(), call_duration_s=call_duration_s)
-    thread = threading.Thread(
-        target=run_agent_loop, args=(AgentConfig(poll_interval_ms=1), store, stop, backend), daemon=True
-    )
+    config = AgentConfig(device_type=device_type, poll_interval_ms=1)
+    thread = threading.Thread(target=run_agent_loop, args=(config, store, stop, backend), daemon=True)
     thread.start()
     try:
         yield
@@ -159,3 +166,12 @@ def test_measurement_overlaps_training(store):
     wall_s = summary.total_wall_ms / 1000.0
     assert max(train_s, measure_s) <= wall_s < 0.75 * (train_s + measure_s)
     _assert_accounted(summary, run_config, store)
+
+
+def test_baseline_for_a_second_device_is_measured_on_it(store):
+    """The baseline run id is fixed, so the second device's post repeats the first's key."""
+    run_config = RunConfig(population_size=1, total_evaluations=1, measurement_timeout_s=5.0)
+    for device in ("dev-a", "dev-b"):
+        with _agent(store, device_type=device):
+            breakdown = evaluate_baseline(store, SimulatedTrainer(), run_config, replace(FAST, device_type=device))
+        assert breakdown.inference_time_ms > 0

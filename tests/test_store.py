@@ -97,6 +97,22 @@ def test_insert_architecture_idempotent(store):
     assert len(store.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)) == 1
 
 
+def test_repost_merges_device_targets_and_writes_only_a_change(store):
+    first = store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-a",)))
+    assert store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-b",))) == first
+    for device in ("dev-a", "dev-b"):
+        assert [(r.id, r.device_targets) for r in store.poll_unmeasured(Role.READER, device, BATCH_SIZES)] == [
+            (first, ["dev-a", "dev-b"])
+        ]
+    conn = sqlite3.connect(store.path)
+    try:
+        conn.execute("CREATE TRIGGER frozen BEFORE UPDATE ON network_architecture BEGIN SELECT RAISE(ABORT, 'updated'); END")
+        conn.commit()
+    finally:
+        conn.close()
+    assert store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-b", "dev-a"))) == first  # no new target
+
+
 def test_insert_architecture_rejects_bad_document(store):
     record = _arch()
     record.spec_document = '{"embed_dim": 24}'

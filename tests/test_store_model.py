@@ -52,7 +52,7 @@ class StoreProtocol(RuleBasedStateMachine):
         path = f"{self.tmp.name}/model.sqlite"
         self.handles = [Store.initialize(path)]
         self.handles += [Store(path) for _ in range(self.handle_count - 1)]
-        self.posted: dict[tuple, ArchitectureRecord] = {}  # (run_id, lineage_id, spec_document) -> first post
+        self.posted: dict[tuple, ArchitectureRecord] = {}  # (run_id, lineage_id, spec_document) -> first post, all targets
         self.measured: dict[tuple, EdgeMeasurement] = {}  # (architecture_id, device, batch size) -> last write
         self.results: dict[str, list[tuple[BenchmarkResult, ArchitectureRecord]]] = {r: [] for r in RUN_IDS}
 
@@ -77,8 +77,10 @@ class StoreProtocol(RuleBasedStateMachine):
         record = ArchitectureRecord(run_id, lineage_id, document, list(device_targets), created_at)
         arch_id = self._via(handle).insert_architecture(Role.OPTIMIZER, record)
         key = (run_id, lineage_id, document)
-        if key in self.posted:  # a repeated post changes nothing and returns the first id
-            assert arch_id == self.posted[key].id
+        if key in self.posted:  # a repeated post adds its device targets and returns the first id
+            first = self.posted[key]
+            assert arch_id == first.id
+            first.device_targets = sorted(set(first.device_targets) | set(device_targets))
         else:
             self.posted[key] = dataclasses.replace(record, device_targets=sorted(device_targets), id=arch_id)
         return arch_id
