@@ -186,13 +186,16 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
         cfg, population_size=args.population, total_evaluations=args.samples,
         seed=args.seed, epochs=args.epochs,
     )
+    history_csv = args.history_csv or cfg.report.history_csv
+    if history_csv:  # refuse an unwritable path before the search posts anything; "a" truncates nothing
+        with open(history_csv, "a"):
+            pass
     summary = _dispatch(
         args, cfg,
         lambda store, trainer, settings: coordinator.run_nas(
             run_config, store, trainer, run_id=args.run_id, settings=settings
         ),
     )
-    history_csv = args.history_csv or cfg.report.history_csv
     if history_csv:
         write_history_csv(summary.history, summary.run_id, history_csv)
     best = summary.best_breakdown

@@ -183,11 +183,6 @@ class RunSummary:
     history: RunHistory
 
     @property
-    def best_spec(self) -> HyperparamSpec | None:
-        best = self.history.best()
-        return best.spec if best else None
-
-    @property
     def best_breakdown(self) -> ScoreBreakdown | None:
         best = self.history.best()
         return best.breakdown if best else None

@@ -1,11 +1,15 @@
 """Analytic cost models and the synthetic training/latency stand-ins.
 
-param_count and flops_estimate are deterministic closed-form sums over the
-architecture family. synthetic_latency and synthetic_val_loss replace the
-real device and the real trainer at desk scale: latency is affine in the
-FLOPs estimate, and the loss surface is a planted-optimum bowl with a
-capacity reward so that loss and latency genuinely pull in opposite
-directions.
+param_count and flops_estimate are closed-form sums at the data's one input:
+INPUT_FRAMES monochrome frames of INPUT_HW x INPUT_HW pixels and NUM_OUTPUTS
+regression targets. synthetic_latency, affine in FLOPs, and synthetic_val_loss,
+a planted-optimum bowl whose capacity reward pulls loss against latency, stand
+in for the real device and trainer. Nothing here checks a spec: each must pass
+validate(spec, "baseline"), so its patch entries (2 or 4) divide the input,
+and is checked where it enters. run_agent_loop measures only such specs,
+Store.insert_architecture refuses any other post, SurrogateConfig validates
+its planted optimum strictly, SimulatedTrainer trains sample or mutate output
+(strictly valid) or default_config(), and perfbench passes sample output.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ WINDOW = (8, 7, 7)  # fixed self-attention window, not searched
 WINDOW_VOLUME = WINDOW[0] * WINDOW[1] * WINDOW[2]
 REL_POS_TABLE_ENTRIES = (2 * WINDOW[0] - 1) * (2 * WINDOW[1] - 1) * (2 * WINDOW[2] - 1)
 
-DEFAULT_INPUT_FRAMES = 16
-DEFAULT_INPUT_HW = 256
-DEFAULT_INPUT_CHANNELS = 1  # monochrome high-speed frames assumed
-DEFAULT_NUM_OUTPUTS = 2  # speed and power regression targets
+INPUT_FRAMES = 16
+INPUT_HW = 256
+INPUT_CHANNELS = 1  # monochrome high-speed frames assumed
+NUM_OUTPUTS = 2  # speed and power regression targets
 
 EPOCH_DECAY_SCALE = 0.05
 LOSS_FLOOR = 1e-6
@@ -38,10 +42,6 @@ PLANTED_OPTIMUM = HyperparamSpec(
     lr_step_size=20,
     lr_gamma=0.7,
 )
-
-
-class CostModelError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,11 @@ class SurrogateConfig:
             raise ValueError("epochs_half_life must be > 0")
 
 
-def _require_valid(spec: HyperparamSpec) -> None:
-    violations = validate(spec, "baseline")
-    if violations:
-        raise CostModelError("invalid spec: " + "; ".join(violations))
-
-
 def _stage_dims(spec: HyperparamSpec) -> list[int]:
     return [spec.embed_dim * 2**i for i in range(4)]
 
 
-def param_count(
-    spec: HyperparamSpec,
-    input_channels: int = DEFAULT_INPUT_CHANNELS,
-    num_outputs: int = DEFAULT_NUM_OUTPUTS,
-) -> int:
+def param_count(spec: HyperparamSpec) -> int:
     """Exact weight count of the architecture a spec describes.
 
     Covers the patch-embedding projection, per-block attention (QKV, output
@@ -106,10 +96,9 @@ def param_count(
     the three patch-merging reductions, the final norm, and the regression
     head. Learning-rate fields never enter.
     """
-    _require_valid(spec)
     e = spec.embed_dim
     r = spec.mlp_ratio
-    total = input_channels * math.prod(spec.patch_size) * e + e  # patch embedding
+    total = INPUT_CHANNELS * math.prod(spec.patch_size) * e + e  # patch embedding
     for i, d in enumerate(_stage_dims(spec)):
         per_block = (
             (3 * d * d + 3 * d)  # qkv
@@ -123,38 +112,25 @@ def param_count(
             total += (4 * d) * (2 * d) + 4 * d  # patch merging
     d_last = e * 8
     total += 2 * d_last  # final norm
-    total += d_last * num_outputs + num_outputs  # regression head
+    total += d_last * NUM_OUTPUTS + NUM_OUTPUTS  # regression head
     return total
 
 
-def flops_estimate(
-    spec: HyperparamSpec,
-    input_frames: int = DEFAULT_INPUT_FRAMES,
-    input_hw: int = DEFAULT_INPUT_HW,
-    input_channels: int = DEFAULT_INPUT_CHANNELS,
-    num_outputs: int = DEFAULT_NUM_OUTPUTS,
-) -> float:
-    """Forward-pass GFLOPs (multiply-accumulates) at the given input shape.
+def flops_estimate(spec: HyperparamSpec) -> float:
+    """Forward-pass GFLOPs (multiply-accumulates) at the fixed input shape.
 
     Token counts shrink 4x at each stage transition (spatial halving); per
     block the attention costs 4*T*d^2 + 2*T*W*d and the MLP 2*T*r*d^2.
     """
-    _require_valid(spec)
     pt, ph, pw = spec.patch_size
-    if input_frames % pt:
-        raise CostModelError(f"frames axis: {input_frames} not divisible by patch size {pt}")
-    if input_hw % ph:
-        raise CostModelError(f"height axis: {input_hw} not divisible by patch size {ph}")
-    if input_hw % pw:
-        raise CostModelError(f"width axis: {input_hw} not divisible by patch size {pw}")
     e = spec.embed_dim
-    tokens = (input_frames // pt) * (input_hw // ph) * (input_hw // pw)
-    macs = tokens * (input_channels * pt * ph * pw) * e  # patch embedding
+    tokens = (INPUT_FRAMES // pt) * (INPUT_HW // ph) * (INPUT_HW // pw)
+    macs = tokens * (INPUT_CHANNELS * pt * ph * pw) * e  # patch embedding
     for i, d in enumerate(_stage_dims(spec)):
         per_block = 4 * tokens * d * d + 2 * tokens * WINDOW_VOLUME * d + 2 * tokens * spec.mlp_ratio * d * d
         macs += spec.depths[i] * per_block
         tokens //= 4
-    macs += e * 8 * num_outputs  # head
+    macs += e * 8 * NUM_OUTPUTS  # head
     return macs / 1e9
 
 
@@ -165,8 +141,6 @@ def synthetic_latency(
     rng: random.Random,
 ) -> float:
     """Simulated on-device latency in ms for one forward pass of the batch."""
-    if batch_size < 1:
-        raise CostModelError("batch_size must be >= 1")
     flops = flops_estimate(spec)
     latency = profile.base_latency_ms + profile.ms_per_gflop * flops * batch_size**profile.batch_efficiency
     if profile.noise_std_ms > 0:
@@ -203,8 +177,6 @@ def synthetic_val_loss(
     value. The capacity reward opposes the latency objective, so score
     minimization faces a real trade-off.
     """
-    if epochs < 1:
-        raise CostModelError("epochs must be >= 1")
     distance = spec_distance(spec, cfg.planted_optimum)
     capacity = cfg.capacity_weight / (1.0 + math.log10(param_count(spec)))
     decay = EPOCH_DECAY_SCALE * 2.0 ** (-epochs / cfg.epochs_half_life)

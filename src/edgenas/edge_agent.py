@@ -111,7 +111,7 @@ class SimulatedBackend:
 
 
 class ExternalBackend:
-    """Runs an external command once per (spec, batch size).
+    """Runs an external command once per call: each warmup and timed run is its own process.
 
     The spec document plus batch_size goes to stdin as one JSON object;
     stdout must carry either a single decimal latency in ms or a JSON

@@ -233,12 +233,6 @@ FIELDS = (
 #: Stable document field names; external trainers and the store rely on them.
 FIELD_NAMES = tuple(f.name for f in FIELDS)
 _BY_NAME = dict(zip(FIELD_NAMES, FIELDS))
-PATCH_CHOICES = _BY_NAME["patch_size"].choices
-EMBED_DIM_CHOICES = _BY_NAME["embed_dim"].choices
-DEPTH_CHOICES = _BY_NAME["depths"].choices
-HEAD_CHOICES = _BY_NAME["heads"].choices
-MLP_RATIO_CHOICES = _BY_NAME["mlp_ratio"].choices
-LR_STEP_CHOICES = _BY_NAME["lr_step_size"].choices
 
 # Projection resamples embed_dim and depths before the other fields; seeded
 # runs depend on this RNG draw order.

@@ -243,6 +243,7 @@ class Store:
     # -- network_architecture ------------------------------------------------
 
     def insert_architecture(self, role: Role, record: ArchitectureRecord) -> int:
+        """Post record and return its id; a repeated key adds its device targets to the first post."""
         self._require(role, Role.OPTIMIZER, "network_architecture")
         try:
             spec = decode(record.spec_document)
@@ -254,18 +255,24 @@ class Store:
         if not record.device_targets:
             raise ValidationError("device_targets must be non-empty")
         created_at = record.created_at or utc_now()
-        targets = json.dumps(sorted(record.device_targets))
+        targets = set(record.device_targets)
         with self._transaction():
             self._conn.execute(
                 "INSERT OR IGNORE INTO network_architecture"
                 " (run_id, lineage_id, spec_document, device_targets, created_at)"
                 " VALUES (?, ?, ?, ?, ?)",
-                (record.run_id, record.lineage_id, record.spec_document, targets, created_at),
+                (record.run_id, record.lineage_id, record.spec_document, json.dumps(sorted(targets)), created_at),
             )
             row = self._conn.execute(
-                "SELECT id FROM network_architecture WHERE run_id = ? AND lineage_id = ? AND spec_document = ?",
+                "SELECT id, device_targets FROM network_architecture"
+                " WHERE run_id = ? AND lineage_id = ? AND spec_document = ?",
                 (record.run_id, record.lineage_id, record.spec_document),
             ).fetchone()
+            merged = json.dumps(sorted(targets.union(json.loads(row["device_targets"]))))
+            if merged != row["device_targets"]:
+                self._conn.execute(
+                    "UPDATE network_architecture SET device_targets = ? WHERE id = ?", (merged, row["id"])
+                )
         return row["id"]
 
     def poll_unmeasured(

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from edgenas.cost_model import (
-    CostModelError,
     DeviceProfile,
     PLANTED_OPTIMUM,
     SurrogateConfig,
@@ -18,17 +17,7 @@ from edgenas.cost_model import (
     synthetic_latency,
     synthetic_val_loss,
 )
-from edgenas.search_space import (
-    DEPTH_CHOICES,
-    EMBED_DIM_CHOICES,
-    HEAD_CHOICES,
-    HyperparamSpec,
-    LR_STEP_CHOICES,
-    MLP_RATIO_CHOICES,
-    PATCH_CHOICES,
-    default_config,
-    sample,
-)
+from edgenas.search_space import FIELDS, HyperparamSpec, default_config, sample
 
 MINIMAL_SPEC = HyperparamSpec(
     patch_size=(4, 4, 4), embed_dim=24, depths=(1, 1, 1, 1), heads=(3, 3, 3, 3),
@@ -47,12 +36,12 @@ def _pinned(name):
 
 @pytest.mark.parametrize("name", ["default", "planted", "minimal"])
 def test_param_count_matches_frozen_oracle_constant(name):
-    assert param_count(_pinned(name), 1, 2) == PARAM_CONSTANTS[name]
+    assert param_count(_pinned(name)) == PARAM_CONSTANTS[name]
 
 
 @pytest.mark.parametrize("name", ["default", "planted", "minimal"])
 def test_flops_matches_frozen_oracle_constant(name):
-    assert flops_estimate(_pinned(name), 16, 256) == pytest.approx(GFLOP_CONSTANTS[name], abs=1e-12)
+    assert flops_estimate(_pinned(name)) == pytest.approx(GFLOP_CONSTANTS[name], abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["default", "planted", "minimal"])
@@ -110,26 +99,6 @@ def test_flops_lower_with_larger_patches():
     fine = replace(default_config(), patch_size=(2, 4, 4))
     coarse = replace(default_config(), patch_size=(4, 4, 4))
     assert flops_estimate(coarse) < flops_estimate(fine)
-
-
-@pytest.mark.parametrize(
-    "patch,frames,hw,axis",
-    [
-        ((2, 4, 4), 15, 256, "frames"),
-        ((2, 4, 4), 16, 255, "height"),
-        ((2, 2, 4), 16, 254, "width"),  # divisible by patch_h=2 but not patch_w=4
-    ],
-)
-def test_flops_divisibility_errors_name_the_axis(patch, frames, hw, axis):
-    spec = replace(default_config(), patch_size=patch)
-    with pytest.raises(CostModelError, match=axis):
-        flops_estimate(spec, frames, hw)
-
-
-def test_invalid_spec_rejected():
-    bad = replace(default_config(), mlp_ratio=7)
-    with pytest.raises(CostModelError, match="mlp_ratio"):
-        param_count(bad)
 
 
 def test_synthetic_latency_formula():
@@ -207,16 +176,17 @@ def test_val_loss_strictly_positive():
         assert synthetic_val_loss(MINIMAL_SPEC, 5, cfg, rng) > 0
 
 
+_CHOICES = {f.name: f.choices for f in FIELDS if hasattr(f, "choices")}
 _SLOTS = []
 for _i in range(3):
-    _SLOTS.append(("patch_size", _i, PATCH_CHOICES))
-_SLOTS.append(("embed_dim", None, EMBED_DIM_CHOICES))
+    _SLOTS.append(("patch_size", _i, _CHOICES["patch_size"]))
+_SLOTS.append(("embed_dim", None, _CHOICES["embed_dim"]))
 for _i in range(4):
-    _SLOTS.append(("depths", _i, DEPTH_CHOICES))
+    _SLOTS.append(("depths", _i, _CHOICES["depths"]))
 for _i in range(4):
-    _SLOTS.append(("heads", _i, HEAD_CHOICES))
-_SLOTS.append(("mlp_ratio", None, MLP_RATIO_CHOICES))
-_SLOTS.append(("lr_step_size", None, LR_STEP_CHOICES))
+    _SLOTS.append(("heads", _i, _CHOICES["heads"]))
+_SLOTS.append(("mlp_ratio", None, _CHOICES["mlp_ratio"]))
+_SLOTS.append(("lr_step_size", None, _CHOICES["lr_step_size"]))
 
 
 def _set_slot(spec, name, idx, value):

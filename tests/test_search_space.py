@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from edgenas.search_space import (
     DocumentError,
-    EMBED_DIM_CHOICES,
     FIELD_NAMES,
+    FIELDS,
     HyperparamSpec,
     MUTATION_RATE,
     decode,
@@ -97,7 +97,7 @@ def test_mutate_from_baseline_is_strictly_valid():
         child = mutate(default_config(), rng)
         assert validate(child, "strict") == []
         if child.embed_dim != 96:
-            assert child.embed_dim in EMBED_DIM_CHOICES
+            assert child.embed_dim in FIELDS[FIELD_NAMES.index("embed_dim")].choices
 
 
 def test_mutate_outputs_pass_strict_validation_fuzz():

@@ -6,6 +6,7 @@ import os
 import re
 import sqlite3
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -106,17 +107,24 @@ def test_repost_merges_device_targets_and_writes_only_a_change(store):
         ]
     conn = sqlite3.connect(store.path)
     try:
-        conn.execute("CREATE TRIGGER frozen BEFORE UPDATE ON network_architecture BEGIN SELECT RAISE(ABORT, 'updated'); END")
+        conn.execute(
+            "CREATE TRIGGER frozen BEFORE UPDATE ON network_architecture BEGIN SELECT RAISE(ABORT, 'updated'); END"
+        )
         conn.commit()
     finally:
         conn.close()
     assert store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-b", "dev-a"))) == first  # no new target
 
 
-def test_insert_architecture_rejects_bad_document(store):
+@pytest.mark.parametrize(
+    "document,field",
+    [('{"embed_dim": 24}', "patch_size"), (encode(replace(default_config(), mlp_ratio=7)), "mlp_ratio")],
+    ids=["undecodable", "out_of_range"],
+)
+def test_insert_architecture_rejects_bad_document(store, document, field):
     record = _arch()
-    record.spec_document = '{"embed_dim": 24}'
-    with pytest.raises(ValidationError, match="patch_size"):
+    record.spec_document = document
+    with pytest.raises(ValidationError, match=field):
         store.insert_architecture(Role.OPTIMIZER, record)
 
 
