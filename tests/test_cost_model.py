@@ -7,6 +7,8 @@ from dataclasses import replace
 import pytest
 
 from edgenas.cost_model import (
+    INPUT_FRAMES,
+    INPUT_HW,
     DeviceProfile,
     PLANTED_OPTIMUM,
     SurrogateConfig,
@@ -17,7 +19,7 @@ from edgenas.cost_model import (
     synthetic_latency,
     synthetic_val_loss,
 )
-from edgenas.search_space import FIELDS, HyperparamSpec, default_config, sample
+from edgenas.search_space import FIELDS, HyperparamSpec, default_config, sample, validate
 
 MINIMAL_SPEC = HyperparamSpec(
     patch_size=(4, 4, 4), embed_dim=24, depths=(1, 1, 1, 1), heads=(3, 3, 3, 3),
@@ -99,6 +101,22 @@ def test_flops_lower_with_larger_patches():
     fine = replace(default_config(), patch_size=(2, 4, 4))
     coarse = replace(default_config(), patch_size=(4, 4, 4))
     assert flops_estimate(coarse) < flops_estimate(fine)
+
+
+def test_every_admissible_patch_divides_the_input():
+    # flops_estimate floors INPUT // patch, so each patch entry a spec can
+    # hold after validate(spec, "baseline") must divide the fixed input.
+    patches = set(_CHOICES["patch_size"]) | set(default_config().patch_size)
+    for p in patches:
+        assert INPUT_FRAMES % p == 0 and INPUT_HW % p == 0
+
+
+def test_invalid_spec_rejected():
+    # The cost model trusts its input; the gate every spec passes first
+    # refuses an out-of-range field and names it.
+    bad = replace(default_config(), mlp_ratio=7)
+    violations = validate(bad, "baseline")
+    assert violations and all("mlp_ratio" in v for v in violations)
 
 
 def test_synthetic_latency_formula():
