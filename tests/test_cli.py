@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import add_failing_trigger
 from edgenas import cli as cli_module
 from edgenas import edge_agent
 from edgenas.cli import main
+from edgenas.optimizer import HISTORY_CSV_COLUMNS
 
 RUN_ID = "run-s0-n16-p8"
 
@@ -211,3 +214,96 @@ def test_pareto_out_on_a_regular_file_is_one_error_line(cli, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(not_a_dir) in err
     assert len(err.splitlines()) == 1
+
+
+def _validation_rows(store, run_id: str) -> int:
+    conn = sqlite3.connect(store)
+    try:
+        return conn.execute(
+            "SELECT COUNT(*) FROM benchmark_result WHERE run_id = ? AND split = 'validation'", (run_id,)
+        ).fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_reused_run_id_is_refused(cli, tmp_path, capsys):
+    cli("init-store")
+    store = tmp_path / "cli.sqlite"
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(store), "run", "--samples", "4", "--population", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: run run-s0-n4-p2 is already in the store\n")
+    assert _validation_rows(store, "run-s0-n4-p2") == 4
+    assert main([*argv, "--run-id", "again"]) == 0
+    assert _validation_rows(store, "again") == 4
+
+
+def test_history_csv_has_one_row_per_evaluation(cli, tmp_path):
+    cli("init-store")
+    target = tmp_path / "h.csv"
+    assert cli("run", "--samples", "4", "--population", "2", "--history-csv", str(target))[0] == 0
+    lines = target.read_text().splitlines()
+    assert lines[0] == HISTORY_CSV_COLUMNS
+    assert len(lines) == 1 + 4
+
+
+def test_run_without_a_successful_evaluation_and_its_summary(tmp_path, monkeypatch, capsys):
+    cli = _cli(tmp_path, monkeypatch, capsys, measurement_timeout_s=0.05)
+    cli("init-store")
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
+    assert main([*argv, "run", "--samples", "2", "--population", "2", "--no-embedded-agent"]) == 1
+    assert capsys.readouterr() == (
+        "", "run run-s0-n2-p2: no successful evaluations (failures: {'measurement_timeout': 2})\n"
+    )
+    assert main([*argv, "report", "summary", "--run-ids", "run-s0-n2-p2"]) == 1
+    assert capsys.readouterr() == (
+        "", "warning: run run-s0-n2-p2 has no results, skipped\nerror: no results in the given runs\n"
+    )
+
+
+def test_medians_of_too_few_candidates_is_one_error_line(cli, tmp_path, capsys):
+    cli("init-store")
+    assert cli("run", "--samples", "4", "--population", "2")[0] == 0
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
+    assert main([*argv, "report", "medians", "--run-ids", "run-s0-n4-p2"]) == 1
+    assert capsys.readouterr() == ("", "error: need at least 10 evaluated candidates, got 4\n")
+
+
+def test_external_mode_needs_a_trainer_command(cli, tmp_path, capsys):
+    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
+    assert main([*argv, "run", "--mode", "external"]) == 1
+    assert capsys.readouterr() == ("", "error: run.trainer_command must be configured for --mode external\n")
+
+
+def test_measurement_command_selects_the_external_backend(tmp_path, monkeypatch, capsys):
+    cli = _cli(tmp_path, monkeypatch, capsys, measurement_timeout_s=0.05)
+    config = tmp_path / "fast.yaml"
+    command = json.dumps([sys.executable, "-c", "print(7.5)"])
+    # the helper's config ends with its agent section
+    config.write_text(
+        config.read_text()
+        + f"  measurement_command: {command}\n  batch_sizes: [1]\n  num_warmup: 0\n  num_timed_runs: 1\n"
+    )
+    cli("init-store")
+    assert cli("baseline", "--no-embedded-agent") == (1, "")
+    assert cli("agent", "--once") == (0, "processed 1 architecture(s)\n")
+    code, out = cli("baseline", "--no-embedded-agent")
+    assert code == 0 and out.splitlines()[1].split()[3] == "7.50ms"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("run: [unclosed\n", "is not valid YAML: "), ("- run\n- agent\n", "must contain a mapping")],
+    ids=["invalid-yaml", "yaml-list"],
+)
+def test_config_file_that_is_no_mapping_is_one_error_line(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    assert main(["--config", str(config), "--store", str(tmp_path / "cli.sqlite"), "init-store"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config file {config} {message}")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[0]]
+    assert not (tmp_path / "cli.sqlite").exists()

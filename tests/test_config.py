@@ -33,6 +33,14 @@ def test_store_path_precedence(write_config, monkeypatch, tmp_path, capsys):
     assert flag.exists() and not (tmp_path / "env.sqlite").exists()
 
 
+def test_empty_store_path_means_unset(write_config, monkeypatch, tmp_path):
+    assert load_config(write_config("store: {path: ''}\n")).store_path == DEFAULT_STORE_PATH
+    monkeypatch.setenv(ENV_STORE, "")
+    assert load_config(None).store_path == DEFAULT_STORE_PATH
+    path = write_config(f"store:\n  path: {tmp_path / 'file.sqlite'}\n")
+    assert load_config(path).store_path == str(tmp_path / "file.sqlite")
+
+
 def test_empty_file_gives_defaults(write_config):
     assert load_config(write_config("")) == load_config(None)
 
@@ -106,6 +114,8 @@ def test_command_string_split_into_list(write_config):
     ))
     assert cfg.run.trainer_command == ["python", "train.py", "--fast"]
     assert cfg.agent.measurement_command == ["python", "measure.py"]
+    quoted = load_config(write_config("run: {trainer_command: \"python 'my dir/train.py' --fast\"}\n"))
+    assert quoted.run.trainer_command == ["python", "my dir/train.py", "--fast"]
     with pytest.raises(ConfigError, match=r"^agent\.measurement_command: expected a command string"):
         load_config(write_config("agent: {measurement_command: [python, 3]}\n"))
 

@@ -5,6 +5,7 @@ import random
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
@@ -228,6 +229,58 @@ def test_agent_skips_out_of_range_document_once(store, caplog):
     assert [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()] == [
         f"skipping architecture {arch_id}: mlp_ratio: 7 not in [1, 2, 3, 4]"
     ]
+
+
+def test_agent_once_makes_one_pass(store, quiet_profile):
+    first = _insert_pending(store, lineage=0)
+    posted: list[int] = []
+
+    class PostingBackend(SimulatedBackend):
+        """Posts a second architecture during the first measurement, as a second search would."""
+
+        def time_inference(self, spec, batch_size):
+            if not posted:
+                posted.append(_insert_pending(store, lineage=1, spec=sample(random.Random(3))))
+            return super().time_inference(spec, batch_size)
+
+    backend = PostingBackend(quiet_profile)
+    assert run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), backend, once=True) == 1
+    assert len(store.get_measurements(first, DEVICE)) == 4
+    assert [r.id for r in store.poll_unmeasured(Role.READER, DEVICE, (1, 2, 4, 8))] == posted
+    assert run_agent_loop(AgentConfig(poll_interval_ms=5), store, threading.Event(), backend, once=True) == 1
+    assert len(store.get_measurements(posted[0], DEVICE)) == 4
+
+
+class _StampingStore:
+    """A store that stamps the start and return of each poll and sets stop on the second poll."""
+
+    def __init__(self, store, stop: threading.Event):
+        self._store = store
+        self._stop = stop
+        self.polls: list[tuple[float, float]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def poll_unmeasured(self, *args):
+        started = time.monotonic()
+        if self.polls:
+            self._stop.set()
+        records = self._store.poll_unmeasured(*args)
+        self.polls.append((started, time.monotonic()))
+        return records
+
+
+def test_agent_sleeps_after_a_pass_that_measured(store, quiet_profile):
+    _insert_pending(store)
+    stop = threading.Event()
+    stamping = _StampingStore(store, stop)
+    processed = run_agent_loop(AgentConfig(poll_interval_ms=300), stamping, stop, SimulatedBackend(quiet_profile))
+    assert processed == 1
+    assert len(stamping.polls) == 2
+    (_, first_returned), (second_started, _) = stamping.polls
+    # Event.wait never returns before its timeout, so no upper bound is needed
+    assert second_started - first_returned >= 0.3
 
 
 # -- external backend protocol -------------------------------------------------
