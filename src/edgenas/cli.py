@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     agent = sub.add_parser("agent", help="run the edge measurement agent")
     agent.add_argument("--device-type", help="override the configured device type")
-    agent.add_argument("--once", action="store_true", help="drain the current backlog and exit")
+    agent.add_argument("--once", action="store_true", help="measure the backlog one poll finds, then exit")
     return parser
 
 

@@ -2,7 +2,9 @@
 
 Unknown keys are rejected so typos fail loudly. The store path can also
 come from the EDGENAS_STORE environment variable; precedence is
-flag > environment > file > default.
+flag > environment > file > default, and an empty path counts as unset.
+A command given as a string is split by POSIX shell rules (shlex); a
+list passes its arguments verbatim.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import dataclasses
 import functools
 import json
 import os
+import shlex
 import types
 import typing
 from dataclasses import dataclass, field
@@ -90,7 +93,7 @@ def _int_tuple(value) -> tuple[int, ...]:
 
 def _command(value) -> list[str]:
     if isinstance(value, str):
-        return value.split()
+        return shlex.split(value)
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return list(value)
     raise ValueError(f"expected a command string or list of strings, got {value!r}")
@@ -165,9 +168,9 @@ def load_config(path: str | None = None) -> CliConfig:
     store_doc = _mapping("store", doc.get("store"))
     _check_keys("store", store_doc, {"path"})
     store_path = DEFAULT_STORE_PATH
-    if store_doc.get("path") is not None:
+    if store_doc.get("path") not in (None, ""):
         store_path = _convert("store.path", str, store_doc["path"])
-    if ENV_STORE in os.environ:
+    if os.environ.get(ENV_STORE):
         store_path = os.environ[ENV_STORE]
     return CliConfig(
         store_path=store_path,

@@ -206,6 +206,8 @@ def run_nas(
     """One full NAS run: EA driving dispatch_candidate, metadata persisted."""
     _check_score_batch_size(run_config, settings)
     run_id = run_id or default_run_id(run_config)
+    if store.get_run_metadata(run_id) is not None:  # a second run would add a second result per candidate
+        raise ValueError(f"run {run_id} is already in the store")
     started = time.perf_counter()
     config_document = json.dumps(
         {

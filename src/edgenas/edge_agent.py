@@ -209,15 +209,17 @@ def run_agent_loop(
     backend: MeasurementBackend,
     once: bool = False,
 ) -> int:
-    """Poll-measure-report until stop_signal (or backlog drained with once).
+    """Poll, measure and report in passes until stop_signal.
 
-    Undecodable and out-of-range spec documents are skipped alike: logged
-    once, never measured. Store connectivity errors back off exponentially
-    (capped at 30 s). The in-flight architecture is completed before a
-    stop takes effect. Returns the number of architectures measured.
+    A pass measures every unmeasured architecture one poll returns, then
+    sleeps poll_interval_ms; with once, the call returns after one pass.
+    A partly measured architecture is still unmeasured, so the next pass
+    measures it again. Undecodable and out-of-range spec documents are
+    skipped alike: logged once, never measured. Store connectivity errors
+    back off exponentially (capped at 30 s). The in-flight architecture
+    is completed before a stop takes effect. Returns the number measured.
     """
     skipped: set[int] = set()
-    attempted: set[int] = set()
     processed = 0
     backoff = BACKOFF_INITIAL_S
     while not stop_signal.is_set():
@@ -230,16 +232,7 @@ def run_agent_loop(
                 break
             backoff = min(backoff * 2, BACKOFF_CAP_S)
             continue
-        pending = [r for r in records if r.id not in skipped and r.id not in attempted]
-        if not pending:
-            if once:
-                return processed
-            stop_signal.wait(config.poll_interval_ms / 1000.0)
-            # partially-failed architectures (still unmeasured) become
-            # eligible again on the next pass
-            attempted.clear()
-            continue
-        for record in pending:
+        for record in [r for r in records if r.id not in skipped]:
             try:
                 spec = decode(record.spec_document)
                 problem = "; ".join(validate(spec, "baseline"))
@@ -255,8 +248,10 @@ def run_agent_loop(
                     store.insert_measurement(Role.EDGE_AGENT, row)
                 except StoreError as exc:
                     logger.error("failed to report measurement for architecture %s: %s", record.id, exc)
-            attempted.add(record.id)
             processed += 1
             if stop_signal.is_set():
                 return processed
+        if once:
+            return processed
+        stop_signal.wait(config.poll_interval_ms / 1000.0)
     return processed
