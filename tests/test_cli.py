@@ -232,8 +232,10 @@ def test_reused_run_id_is_refused(cli, tmp_path, capsys):
     argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(store), "run", "--samples", "4", "--population", "2"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv) == 2
+    refused_csv = tmp_path / "refused.csv"
+    assert main([*argv, "--history-csv", str(refused_csv)]) == 2
     assert capsys.readouterr() == ("", "error: run run-s0-n4-p2 is already in the store\n")
+    assert not refused_csv.exists()
     assert _validation_rows(store, "run-s0-n4-p2") == 4
     assert main([*argv, "--run-id", "again"]) == 0
     assert _validation_rows(store, "again") == 4
@@ -292,6 +294,30 @@ def test_measurement_command_selects_the_external_backend(tmp_path, monkeypatch,
     assert code == 0 and out.splitlines()[1].split()[3] == "7.50ms"
 
 
+def test_trainer_command_selects_the_external_trainer(tmp_path, monkeypatch, capsys):
+    cli = _cli(tmp_path, monkeypatch, capsys, measurement_timeout_s=0.05)
+    config = tmp_path / "fast.yaml"
+    command = json.dumps([sys.executable, "-c", "print('{\"val_loss\": 0.5, \"test_loss\": 0.6}')"])
+    config.write_text(config.read_text().replace("run:\n", f"run:\n  trainer_command: {command}\n"))
+    cli("init-store")
+    # an external trainer means a real agent serves the device, so none is embedded and the measurement times out
+    assert main(["--config", str(config), "--store", str(tmp_path / "cli.sqlite"), "baseline"]) == 1
+    assert capsys.readouterr() == ("", "baseline evaluation failed: measurement_timeout\n")
+    assert cli("agent", "--once") == (0, "processed 1 architecture(s)\n")
+    code, out = cli("baseline")
+    assert code == 0 and out.splitlines()[1].split()[2] == "0.5000"
+
+
+def test_interrupted_agent_exits_0(cli, monkeypatch):
+    cli("init-store")
+
+    def interrupt(config, store, stop, backend, once=False):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(edge_agent, "run_agent_loop", interrupt)
+    assert cli("agent") == (0, "")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [("run: [unclosed\n", "is not valid YAML: "), ("- run\n- agent\n", "must contain a mapping")],
@@ -306,4 +332,5 @@ def test_config_file_that_is_no_mapping_is_one_error_line(tmp_path, monkeypatch,
     assert out == ""
     assert err.startswith(f"error: config file {config} {message}")
     assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[0]]
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "cli.sqlite").exists()

@@ -51,6 +51,11 @@ def test_external_trainer_failures(script, timeout_s, message):
         _trainer(script, timeout_s).train_and_validate(default_config(), 1, 0)
 
 
+def test_external_trainer_needs_a_command():
+    with pytest.raises(ValueError, match="command must be non-empty"):
+        ExternalTrainer([])
+
+
 # -- run_nas on a temporary store, with an embedded agent and 1 ms polls --------
 
 FAST = DispatchSettings(poll_interval_s=0.001)

@@ -156,6 +156,17 @@ def test_device_profile_validation():
         DeviceProfile(ms_per_gflop=0.0)
     with pytest.raises(ValueError):
         DeviceProfile(batch_efficiency=1.5)
+    with pytest.raises(ValueError):
+        DeviceProfile(base_latency_ms=-1)
+    with pytest.raises(ValueError):
+        DeviceProfile(noise_std_ms=-1)
+
+
+def test_surrogate_config_validation():
+    with pytest.raises(ValueError, match="capacity_weight must be >= 0"):
+        SurrogateConfig(capacity_weight=-1)
+    with pytest.raises(ValueError, match="epochs_half_life must be > 0"):
+        SurrogateConfig(epochs_half_life=0)
 
 
 def test_surrogate_rejects_invalid_planted_optimum():

@@ -45,6 +45,8 @@ def test_agent_config_validation():
         AgentConfig(batch_sizes=(4, 2, 1))
     with pytest.raises(ValueError):
         AgentConfig(num_timed_runs=0)
+    with pytest.raises(ValueError):
+        AgentConfig(num_warmup=-1)
 
 
 def test_measure_counts_warmup_and_timed_calls():
@@ -332,6 +334,24 @@ def test_external_backend_missing_latency_field_is_failure():
     backend = ExternalBackend(_stub("print('{\"memory_mb\": 3}')"))
     with pytest.raises(BackendError, match="latency_ms"):
         backend.time_inference(default_config(), 1)
+
+
+def test_external_backend_empty_or_non_numeric_output_is_failure():
+    with pytest.raises(BackendError, match="produced no output"):
+        ExternalBackend(_stub("pass")).time_inference(default_config(), 1)
+    with pytest.raises(BackendError, match="not numeric"):
+        ExternalBackend(_stub("print('{\"latency_ms\": \"fast\"}')")).time_inference(default_config(), 1)
+
+
+def test_external_backend_that_cannot_start_is_failure():
+    backend = ExternalBackend(["/nonexistent/measure"])
+    with pytest.raises(BackendError, match="failed to start"):
+        backend.time_inference(default_config(), 1)
+
+
+def test_external_backend_needs_a_command():
+    with pytest.raises(ValueError, match="command must be non-empty"):
+        ExternalBackend([])
 
 
 def test_external_backend_timeout_is_failure():

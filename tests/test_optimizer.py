@@ -63,6 +63,8 @@ def test_run_config_validation():
         RunConfig(population_size=8, total_evaluations=4)
     with pytest.raises(ValueError):
         RunConfig(population_size=0, total_evaluations=1)
+    with pytest.raises(ValueError):
+        RunConfig(epochs=0)
 
 
 def test_run_ea_budget_16_is_8_parents_plus_8_offspring():
