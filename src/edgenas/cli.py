@@ -79,11 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # options of the commands that dispatch candidates (see _dispatch)
     dispatch = argparse.ArgumentParser(add_help=False)
-    dispatch.add_argument("--mode", choices=["simulate", "external"], default="simulate")
     dispatch.add_argument("--device-type", help="edge device type to target")
     dispatch.add_argument(
         "--no-embedded-agent", action="store_true",
-        help="do not start the in-process agent; an external agent must serve measurements",
+        help="do not start the in-process agent (run.trainer_command never starts it); an external agent measures",
     )
 
     run = sub.add_parser("run", parents=[dispatch], help="execute one NAS search")
@@ -107,21 +106,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store_path(args: argparse.Namespace, cfg: CliConfig) -> str:
-    return args.store if args.store else cfg.store_path
-
-
 def _cmd_init_store(args: argparse.Namespace, cfg: CliConfig) -> int:
-    path = _store_path(args, cfg)
-    with Store.initialize(path) as store:
-        print(f"store at {path} ready (schema version {store.schema_version})")
+    with Store.initialize(cfg.store_path) as store:
+        print(f"store at {cfg.store_path} ready (schema version {store.schema_version})")
     return 0
 
 
-def _make_trainer(mode: str, cfg: CliConfig):
-    if mode == "external":
-        if not cfg.run.trainer_command:
-            raise CommandError("run.trainer_command must be configured for --mode external")
+def _make_trainer(cfg: CliConfig):
+    if cfg.run.trainer_command:
         return ExternalTrainer(cfg.run.trainer_command)
     return SimulatedTrainer(cfg.surrogate, duration_s=cfg.run.trainer_duration_s)
 
@@ -134,7 +126,7 @@ def _make_backend(cfg: CliConfig):
 
 @contextlib.contextmanager
 def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
-    """In-process agent thread for single-command simulate runs; a hung agent fails a successful job."""
+    """In-process agent thread for runs with the simulated trainer; a hung agent fails a successful job."""
     stop = threading.Event()
     thread = threading.Thread(
         target=edge_agent.run_agent_loop,
@@ -166,19 +158,19 @@ def _run_config(cfg: CliConfig, **flags) -> RunConfig:
     return RunConfig(**values)
 
 
-def _dispatch(args: argparse.Namespace, cfg: CliConfig, job):
-    """job(store, trainer, settings) on the configured store, with the embedded agent unless detached."""
+def _dispatch(args: argparse.Namespace, cfg: CliConfig, job, **kwargs):
+    """job(store=, trainer=, settings=, **kwargs) on the configured store, with the embedded agent unless detached."""
     agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     settings = DispatchSettings(
         device_type=agent_config.device_type,
         batch_sizes=agent_config.batch_sizes,
         poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
     )
-    trainer = _make_trainer(args.mode, cfg)
-    with Store(_store_path(args, cfg)) as store:
-        embed = args.mode == "simulate" and not args.no_embedded_agent
+    with Store(cfg.store_path) as store:
+        # an external trainer means a real edge agent serves the device
+        embed = not (cfg.run.trainer_command or args.no_embedded_agent)
         with _embedded_agent(store, agent_config, _make_backend(cfg)) if embed else contextlib.nullcontext():
-            return job(store, trainer, settings)
+            return job(store=store, trainer=_make_trainer(cfg), settings=settings, **kwargs)
 
 
 def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -188,14 +180,12 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
     )
     history_csv = args.history_csv or cfg.report.history_csv
     if history_csv:  # refuse an unwritable path before the search posts anything; "a" truncates nothing
+        existed = os.path.exists(history_csv)
         with open(history_csv, "a"):
             pass
-    summary = _dispatch(
-        args, cfg,
-        lambda store, trainer, settings: coordinator.run_nas(
-            run_config, store, trainer, run_id=args.run_id, settings=settings
-        ),
-    )
+        if not existed:  # only a finished search writes the file, so a refused one leaves none
+            os.remove(history_csv)
+    summary = _dispatch(args, cfg, coordinator.run_nas, run_config=run_config, run_id=args.run_id)
     if history_csv:
         write_history_csv(summary.history, summary.run_id, history_csv)
     best = summary.best_breakdown
@@ -213,12 +203,7 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
         run_config = _run_config(cfg, population_size=1, total_evaluations=1)
-        b = _dispatch(
-            args, cfg,
-            lambda store, trainer, settings: coordinator.evaluate_baseline(
-                store, trainer, run_config, settings=settings
-            ),
-        )
+        b = _dispatch(args, cfg, coordinator.evaluate_baseline, run_config=run_config)
     except EvaluationFailed as exc:
         print(f"baseline evaluation failed: {exc}", file=sys.stderr)
         return 1
@@ -316,7 +301,7 @@ def _report_medians(store: Store, run_ids: list[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, cfg: CliConfig) -> int:
-    with Store(_store_path(args, cfg)) as store:
+    with Store(cfg.store_path) as store:
         _require_runs(store, args.run_ids)
         if args.kind == "summary":
             return _report_summary(store, args.run_ids)
@@ -329,7 +314,7 @@ def _cmd_agent(args: argparse.Namespace, cfg: CliConfig) -> int:
     agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     backend = _make_backend(cfg)
     stop = threading.Event()
-    with Store(_store_path(args, cfg)) as store:
+    with Store(cfg.store_path) as store:
         try:
             processed = edge_agent.run_agent_loop(agent_config, store, stop, backend, once=args.once)
         except KeyboardInterrupt:
@@ -353,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         "agent": _cmd_agent,
     }
     try:
-        return handlers[args.command](args, load_config(args.config))
+        return handlers[args.command](args, load_config(args.config, args.store))
     except ValueError as exc:  # the config file, a run configuration or the coordinator refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2

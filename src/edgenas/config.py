@@ -1,10 +1,11 @@
 """Declarative run configuration: one YAML file, flags override values.
 
-Unknown keys are rejected so typos fail loudly. The store path can also
-come from the EDGENAS_STORE environment variable; precedence is
-flag > environment > file > default, and an empty path counts as unset.
-A command given as a string is split by POSIX shell rules (shlex); a
-list passes its arguments verbatim.
+Unknown keys are rejected so typos fail loudly. load_config resolves the
+store path: flag > EDGENAS_STORE > store.path > default, an empty value
+counting as unset. A configured command selects the external trainer
+(run.trainer_command) or backend (agent.measurement_command), and a
+trainer command never starts the embedded agent. A command string is
+split by POSIX shell rules (shlex); a list passes its arguments verbatim.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def _parse_agent(doc) -> AgentSection:
     return _parse(AgentSection, "agent", {k: v for k, v in doc.items() if k in own}, config=config)
 
 
-def load_config(path: str | None = None) -> CliConfig:
-    """Parse the config file (all sections optional); env var may set the store."""
+def load_config(path: str | None = None, store_path: str | None = None) -> CliConfig:
+    """Parse the config file (all sections optional); store_path is the --store flag."""
     doc: dict = {}
     if path is not None:
         try:
@@ -158,8 +159,11 @@ def load_config(path: str | None = None) -> CliConfig:
                 loaded = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+        except yaml.YAMLError as exc:  # the parser's message spans lines: keep its problem and where it is
+            mark = getattr(exc, "problem_mark", None)  # a reader error (a control character) has none
+            problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+            where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+            raise ConfigError(f"config file {path} is not valid YAML: {problem}{where}") from exc
         if loaded is not None and not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a mapping")
         doc = loaded or {}
@@ -167,13 +171,10 @@ def load_config(path: str | None = None) -> CliConfig:
     _check_keys("config", doc, sections | {"store"})
     store_doc = _mapping("store", doc.get("store"))
     _check_keys("store", store_doc, {"path"})
-    store_path = DEFAULT_STORE_PATH
-    if store_doc.get("path") not in (None, ""):
-        store_path = _convert("store.path", str, store_doc["path"])
-    if os.environ.get(ENV_STORE):
-        store_path = os.environ[ENV_STORE]
+    file_path = store_doc.get("path")
+    file_path = None if file_path is None else _convert("store.path", str, file_path)
     return CliConfig(
-        store_path=store_path,
+        store_path=store_path or os.environ.get(ENV_STORE) or file_path or DEFAULT_STORE_PATH,
         run=_parse(RunSection, "run", doc.get("run")),
         agent=_parse_agent(doc.get("agent")),
         device_profile=_parse(DeviceProfile, "device_profile", doc.get("device_profile")),

@@ -2,10 +2,13 @@
 
 Each candidate is posted to the store *before* its training starts and the
 measurement is read back only *after* training ends, so the edge round
-trip overlaps the training wall time instead of adding to it. The
-coordinator owns no state outside the store: a candidate ends as the
-record run_ea keeps of it, scored or failed with its EvaluationFailed, and
-concurrent dispatches serialize only through store transactions.
+trip overlaps the training wall time instead of adding to it. The agent
+measures one architecture at a time in post order, so the claim holds per
+round: a round of P candidates takes about max(train, P x measure), not
+train + P x measure. The coordinator owns no state outside the store: a
+candidate ends as the record run_ea keeps of it, scored or failed with
+its EvaluationFailed, and concurrent dispatches serialize only through
+store transactions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import logging
 import random
 import time
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Protocol
 
 from .cost_model import SurrogateConfig, synthetic_val_loss
@@ -82,11 +84,6 @@ class ExternalTrainer:
         return val_loss, test_loss
 
 
-class CandidateStatus(Enum):
-    TRAINER_FAILED = "trainer_failed"
-    MEASUREMENT_TIMEOUT = "measurement_timeout"
-
-
 @dataclass(frozen=True)
 class DispatchSettings:
     """Store-facing knobs shared by every candidate of a run."""
@@ -117,10 +114,12 @@ def dispatch_candidate(
     """Post architecture, train, then read back the overlapped measurement.
 
     The measurement wait starts at the moment of posting: the agent works
-    while the trainer runs, so total wall time tracks max(train, measure),
-    not their sum. A failed trainer raises EvaluationFailed("trainer_failed"),
+    while the trainer runs. It measures sequentially in post order, so the
+    k-th candidate of a round also waits for the k-1 posted before it, and
+    the round takes about max(train, P x measure) for population P, not
+    their sum. A failed trainer raises EvaluationFailed("trainer_failed"),
     a measurement set still incomplete after measurement_timeout_s raises
-    EvaluationFailed("measurement_timeout"); the CandidateStatus values.
+    EvaluationFailed("measurement_timeout").
     """
     started = time.perf_counter()
     architecture_id = store.insert_architecture(
@@ -136,7 +135,7 @@ def dispatch_candidate(
         val_loss, test_loss = trainer.train_and_validate(spec, run_config.epochs, candidate_seed)
     except Exception as exc:
         logger.warning("trainer failed for architecture %s: %s", architecture_id, exc)
-        raise EvaluationFailed(CandidateStatus.TRAINER_FAILED.value) from exc
+        raise EvaluationFailed("trainer_failed") from exc
 
     needed = set(settings.batch_sizes)
     deadline = started + run_config.measurement_timeout_s
@@ -150,7 +149,7 @@ def dispatch_candidate(
                 "measurement timeout for architecture %s after %.1fs", architecture_id,
                 run_config.measurement_timeout_s,
             )
-            raise EvaluationFailed(CandidateStatus.MEASUREMENT_TIMEOUT.value)
+            raise EvaluationFailed("measurement_timeout")
         time.sleep(settings.poll_interval_s)
 
     by_batch = {m.batch_size: m for m in measurements}

@@ -1,9 +1,12 @@
 """Shared relational store: the only channel between optimizer and edge agent.
 
 Backed by a single-file SQLite database so that desk-scale runs need zero
-ops; the DDL in schema.sql is portable SQL, so a hosted relational server
-is a drop-in alternative. Write permissions follow the deployment's grant
-model, and everyone reads everything:
+ops. It relies on SQLite beyond the DDL in schema.sql: poll_unmeasured
+expands device targets with json_each, insert_architecture uses INSERT OR
+IGNORE, and the user_version, journal_mode=WAL and foreign_keys PRAGMAs
+hold the schema version, let readers run beside a writer and enforce
+references. Write permissions
+follow the deployment's grant model, and everyone reads everything:
 - the optimizer posts architectures (insert_architecture), scores them
   (insert_benchmark_result) and records its runs (upsert_run_metadata);
 - the edge agent polls for architectures that miss a measurement

@@ -272,12 +272,6 @@ def test_medians_of_too_few_candidates_is_one_error_line(cli, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: need at least 10 evaluated candidates, got 4\n")
 
 
-def test_external_mode_needs_a_trainer_command(cli, tmp_path, capsys):
-    argv = ["--config", str(tmp_path / "fast.yaml"), "--store", str(tmp_path / "cli.sqlite")]
-    assert main([*argv, "run", "--mode", "external"]) == 1
-    assert capsys.readouterr() == ("", "error: run.trainer_command must be configured for --mode external\n")
-
-
 def test_measurement_command_selects_the_external_backend(tmp_path, monkeypatch, capsys):
     cli = _cli(tmp_path, monkeypatch, capsys, measurement_timeout_s=0.05)
     config = tmp_path / "fast.yaml"
