@@ -15,6 +15,7 @@ from edgenas import cli as cli_module
 from edgenas import edge_agent
 from edgenas.cli import main
 from edgenas.optimizer import HISTORY_CSV_COLUMNS
+from edgenas.store import Role, Store
 
 RUN_ID = "run-s0-n16-p8"
 
@@ -300,6 +301,18 @@ def test_trainer_command_selects_the_external_trainer(tmp_path, monkeypatch, cap
     assert cli("agent", "--once") == (0, "processed 1 architecture(s)\n")
     code, out = cli("baseline")
     assert code == 0 and out.splitlines()[1].split()[2] == "0.5000"
+
+
+def test_agent_device_type_flag_serves_that_device(tmp_path, monkeypatch, capsys):
+    cli = _cli(tmp_path, monkeypatch, capsys, measurement_timeout_s=0.05)
+    cli("init-store")
+    # nothing serves the store, so the baseline is posted for both devices and measured for neither
+    for device in ("sim-edge", "dev-b"):
+        assert cli("baseline", "--no-embedded-agent", "--device-type", device) == (1, "")
+    assert cli("agent", "--once", "--device-type", "dev-b") == (0, "processed 1 architecture(s)\n")
+    with Store(str(tmp_path / "cli.sqlite")) as store:
+        assert store.poll_unmeasured(Role.READER, "dev-b", (1, 2, 4, 8)) == []
+        assert len(store.poll_unmeasured(Role.READER, "sim-edge", (1, 2, 4, 8))) == 1
 
 
 def test_interrupted_agent_exits_0(cli, monkeypatch):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from edgenas.cli import main
+from edgenas.cli import _make_backend, main
 from edgenas.config import DEFAULT_STORE_PATH, ENV_STORE, ConfigError, load_config
 from edgenas.search_space import default_config, to_document_dict
 
@@ -174,3 +174,28 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: config file {tmp_path} cannot be read: ")
     assert len(err.splitlines()) == 1
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_STORE, raising=False)
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"run: {}\n\xff\n")
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} is not valid UTF-8: "):
+        load_config(str(path))
+    assert main(["--config", str(path), "--store", str(tmp_path / "s.sqlite"), "init-store"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config file {path} is not valid UTF-8: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_device_type_flag_overrides_the_file(write_config):
+    assert load_config(None, device_type="x").agent.config.device_type == "x"
+    path = write_config("agent: {device_type: jetson}\n")
+    assert load_config(path).agent.config.device_type == "jetson"
+    assert load_config(path, device_type="x").agent.config.device_type == "x"
+
+
+def test_agent_seed_seeds_the_simulated_backend(write_config):
+    assert _make_backend(load_config(write_config("agent: {seed: 3}\n"))).seed == 3
+    assert _make_backend(load_config(None)).seed == 0

@@ -369,3 +369,17 @@ def test_simulated_backend_repeats_a_spec_measured_again():
     again = measure(spec_a, AgentConfig(), backend)
     assert [r.latency_ms_mean for r in first] == [r.latency_ms_mean for r in again]
     assert [r.latency_ms_std for r in first] == [r.latency_ms_std for r in again]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="SimulatedBackend keeps the noise stream of the last (spec, batch size) across architectures; "
+    "one backend call per batch size (ROADMAP item 7) restarts it for every measurement",
+)
+def test_equal_specs_measure_equal_at_one_batch_size(store):
+    """Two lineages posting one spec read one latency, as they do with four batch sizes."""
+    ids = [_insert_pending(store, lineage) for lineage in range(2)]
+    backend = SimulatedBackend(DeviceProfile(noise_std_ms=1.0), seed=5)
+    assert run_agent_loop(AgentConfig(batch_sizes=(1,)), store, threading.Event(), backend, once=True) == 2
+    means = [store.get_measurements(arch_id, DEVICE)[0].latency_ms_mean for arch_id in ids]
+    assert means[0] == means[1]
