@@ -24,7 +24,6 @@ import logging
 import os
 import sys
 import threading
-from dataclasses import replace
 
 from . import coordinator, edge_agent
 from .config import CliConfig, load_config
@@ -121,7 +120,7 @@ def _make_trainer(cfg: CliConfig):
 def _make_backend(cfg: CliConfig):
     if cfg.agent.measurement_command:
         return ExternalBackend(cfg.agent.measurement_command, timeout_s=cfg.agent.measurement_timeout_s)
-    return SimulatedBackend(cfg.device_profile, seed=cfg.agent.config.seed, call_duration_s=cfg.agent.call_duration_s)
+    return SimulatedBackend(cfg.device_profile, seed=cfg.agent.seed, call_duration_s=cfg.agent.call_duration_s)
 
 
 @contextlib.contextmanager
@@ -160,16 +159,15 @@ def _run_config(cfg: CliConfig, **flags) -> RunConfig:
 
 def _dispatch(args: argparse.Namespace, cfg: CliConfig, job, **kwargs):
     """job(store=, trainer=, settings=, **kwargs) on the configured store, with the embedded agent unless detached."""
-    agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     settings = DispatchSettings(
-        device_type=agent_config.device_type,
-        batch_sizes=agent_config.batch_sizes,
+        device_type=cfg.agent.config.device_type,
+        batch_sizes=cfg.agent.config.batch_sizes,
         poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
     )
     with Store(cfg.store_path) as store:
         # an external trainer means a real edge agent serves the device
         embed = not (cfg.run.trainer_command or args.no_embedded_agent)
-        with _embedded_agent(store, agent_config, _make_backend(cfg)) if embed else contextlib.nullcontext():
+        with _embedded_agent(store, cfg.agent.config, _make_backend(cfg)) if embed else contextlib.nullcontext():
             return job(store=store, trainer=_make_trainer(cfg), settings=settings, **kwargs)
 
 
@@ -311,12 +309,11 @@ def _cmd_report(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_agent(args: argparse.Namespace, cfg: CliConfig) -> int:
-    agent_config = replace(cfg.agent.config, device_type=args.device_type or cfg.agent.config.device_type)
     backend = _make_backend(cfg)
     stop = threading.Event()
     with Store(cfg.store_path) as store:
         try:
-            processed = edge_agent.run_agent_loop(agent_config, store, stop, backend, once=args.once)
+            processed = edge_agent.run_agent_loop(cfg.agent.config, store, stop, backend, once=args.once)
         except KeyboardInterrupt:
             logger.info("agent interrupted; shutting down")
             return 0
@@ -338,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         "agent": _cmd_agent,
     }
     try:
-        return handlers[args.command](args, load_config(args.config, args.store))
+        cfg = load_config(args.config, args.store, getattr(args, "device_type", None))  # not every command has the flag
+        return handlers[args.command](args, cfg)
     except ValueError as exc:  # the config file, a run configuration or the coordinator refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Unknown keys are rejected so typos fail loudly. load_config resolves the
 store path: flag > EDGENAS_STORE > store.path > default, an empty value
-counting as unset. A configured command selects the external trainer
+counting as unset; the --device-type flag likewise overrides
+agent.device_type. A configured command selects the external trainer
 (run.trainer_command) or backend (agent.measurement_command), and a
 trainer command never starts the embedded agent. A command string is
 split by POSIX shell rules (shlex); a list passes its arguments verbatim.
@@ -51,6 +52,7 @@ class RunSection:
 @dataclass
 class AgentSection:
     config: AgentConfig = field(default_factory=AgentConfig)
+    seed: int = 0  # of the simulated backend
     measurement_command: list[str] | None = None
     measurement_timeout_s: float = MEASUREMENT_COMMAND_TIMEOUT_S
     call_duration_s: float = 0.0
@@ -142,16 +144,17 @@ def _parse(cls, section: str, doc, **fixed):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_agent(doc) -> AgentSection:
+def _parse_agent(doc, device_type: str | None) -> AgentSection:
     """The flat agent section fills AgentConfig and the rest of AgentSection."""
     doc = _mapping("agent", doc)
     own = {f.name for f in dataclasses.fields(AgentSection)} - {"config"}
-    config = _parse(AgentConfig, "agent", {k: v for k, v in doc.items() if k not in own})
+    config_doc = {k: v for k, v in doc.items() if k not in own}
+    config = _parse(AgentConfig, "agent", {**config_doc, "device_type": device_type or doc.get("device_type")})
     return _parse(AgentSection, "agent", {k: v for k, v in doc.items() if k in own}, config=config)
 
 
-def load_config(path: str | None = None, store_path: str | None = None) -> CliConfig:
-    """Parse the config file (all sections optional); store_path is the --store flag."""
+def load_config(path: str | None = None, store_path: str | None = None, device_type: str | None = None) -> CliConfig:
+    """Parse the config file (all sections optional); store_path is --store, device_type --device-type."""
     doc: dict = {}
     if path is not None:
         try:
@@ -159,6 +162,8 @@ def load_config(path: str | None = None, store_path: str | None = None) -> CliCo
                 loaded = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
         except yaml.YAMLError as exc:  # the parser's message spans lines: keep its problem and where it is
             mark = getattr(exc, "problem_mark", None)  # a reader error (a control character) has none
             problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
@@ -176,7 +181,7 @@ def load_config(path: str | None = None, store_path: str | None = None) -> CliCo
     return CliConfig(
         store_path=store_path or os.environ.get(ENV_STORE) or file_path or DEFAULT_STORE_PATH,
         run=_parse(RunSection, "run", doc.get("run")),
-        agent=_parse_agent(doc.get("agent")),
+        agent=_parse_agent(doc.get("agent"), device_type),
         device_profile=_parse(DeviceProfile, "device_profile", doc.get("device_profile")),
         surrogate=_parse(SurrogateConfig, "surrogate", doc.get("surrogate")),
         report=_parse(ReportSection, "report", doc.get("report")),

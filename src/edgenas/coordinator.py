@@ -17,7 +17,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Protocol
 
 from .cost_model import SurrogateConfig, synthetic_val_loss
@@ -140,9 +140,8 @@ def dispatch_candidate(
     needed = set(settings.batch_sizes)
     deadline = started + run_config.measurement_timeout_s
     while True:
-        measurements = store.get_measurements(architecture_id, settings.device_type)
-        have = {m.batch_size for m in measurements}
-        if needed <= have:
+        by_batch = {m.batch_size: m for m in store.get_measurements(architecture_id, settings.device_type)}
+        if needed <= by_batch.keys():
             break
         if time.perf_counter() >= deadline:
             logger.warning(
@@ -152,7 +151,6 @@ def dispatch_candidate(
             raise EvaluationFailed("measurement_timeout")
         time.sleep(settings.poll_interval_s)
 
-    by_batch = {m.batch_size: m for m in measurements}
     inference_time_ms = by_batch[run_config.score_batch_size].latency_ms_mean
     breakdown = ScoreBreakdown.from_losses(val_loss, inference_time_ms, test_loss)
     splits = (("validation", val_loss, breakdown.score), ("test", test_loss, breakdown.test_score))
@@ -208,18 +206,7 @@ def run_nas(
     if store.get_run_metadata(run_id) is not None:  # a second run would add a second result per candidate
         raise ValueError(f"run {run_id} is already in the store")
     started = time.perf_counter()
-    config_document = json.dumps(
-        {
-            "population_size": run_config.population_size,
-            "total_evaluations": run_config.total_evaluations,
-            "seed": run_config.seed,
-            "epochs": run_config.epochs,
-            "score_batch_size": run_config.score_batch_size,
-            "device_type": settings.device_type,
-            "batch_sizes": list(settings.batch_sizes),
-        },
-        sort_keys=True,
-    )
+    config_document = json.dumps({**asdict(run_config), **asdict(settings)}, sort_keys=True)
     metadata = RunMetadata(run_id, config_document, seed=run_config.seed, started_at=utc_now())
     store.upsert_run_metadata(Role.OPTIMIZER, metadata)
 
@@ -259,8 +246,9 @@ def evaluate_baseline(
     Raises EvaluationFailed as dispatch_candidate does.
     """
     _check_score_batch_size(run_config, settings)
+    # budget 0 is what report summary reads as the baseline row
     config_document = json.dumps(
-        {"population_size": 0, "total_evaluations": 0, "seed": run_config.seed, "baseline": True},
+        {**asdict(run_config), **asdict(settings), "population_size": 0, "total_evaluations": 0, "baseline": True},
         sort_keys=True,
     )
     store.upsert_run_metadata(

@@ -16,7 +16,7 @@ import statistics
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol
 
 from . import cost_model
@@ -42,7 +42,6 @@ class AgentConfig:
     num_warmup: int = 3
     num_timed_runs: int = 10
     poll_interval_ms: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if not self.batch_sizes:
@@ -89,6 +88,9 @@ class SimulatedBackend:
     spec's memory figure: it is seeded from that pair and restarts whenever
     the pair changes, so reported values do not depend on the order the
     agent drains its queue and memory does not grow with the specs seen.
+    It does not restart when the pair repeats: with a single batch size, a
+    spec measured twice in a row (two lineages posting it) continues the
+    first measurement's stream and reads another mean.
     call_duration_s stalls each call to emulate real measurement time.
     """
 
@@ -143,12 +145,7 @@ class ExternalBackend:
             if "latency_ms" not in doc:
                 raise BackendError("measurement output missing latency_ms")
             try:
-                return InferenceSample(
-                    latency_ms=float(doc["latency_ms"]),
-                    memory_mb=float(doc.get("memory_mb", 0.0)),
-                    cpu_util=float(doc.get("cpu_util", 0.0)),
-                    gpu_util=float(doc.get("gpu_util", 0.0)),
-                )
+                return InferenceSample(**{f.name: float(doc[f.name]) for f in fields(InferenceSample) if f.name in doc})
             except (TypeError, ValueError) as exc:
                 raise BackendError(f"measurement output not numeric: {exc}") from exc
         try:
