@@ -4,7 +4,7 @@
 
 Prints "ready" once the agent loop runs, serves the store until stdin
 closes, then stops the loop and prints the wall time of every backend call,
-in call order, as one JSON list.
+in call order, as one JSON list. Exits 3 if the loop does not stop.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import time
 from edgenas.cost_model import DeviceProfile
 from edgenas.edge_agent import AgentConfig, SimulatedBackend, run_agent_loop
 from edgenas.store import Store
+
+JOIN_TIMEOUT_S = 5.0
 
 
 class TimedBackend:
@@ -39,12 +41,15 @@ def main() -> int:
     backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
     stop = threading.Event()
     with Store(store_path) as store:
-        loop = threading.Thread(target=run_agent_loop, args=(AgentConfig(poll_interval_ms=1), store, stop, backend))
+        args = (AgentConfig(poll_interval_ms=1), store, stop, backend)
+        loop = threading.Thread(target=run_agent_loop, args=args, daemon=True)
         loop.start()
         print("ready", flush=True)
         sys.stdin.read()
         stop.set()
-        loop.join()
+        loop.join(JOIN_TIMEOUT_S)
+        if loop.is_alive():
+            return 3
     print(json.dumps(backend.durations), flush=True)
     return 0
 

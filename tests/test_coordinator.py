@@ -170,7 +170,7 @@ def test_store_error_while_scoring_is_counted(store):
 
 HIDING_ROUNDS = 3
 HIDING_POLL_S = 0.001  # the coordinator's and the agent's poll interval
-HIDING_SLACK_S = 0.15  # per round: worst of 40 runs per case on a shared 2-vCPU host was 87 ms (CHANGES.md)
+HIDING_SLACK_S = 0.2  # per round: the worst of 40 runs per case on a shared 2-vCPU host was 118 ms (CHANGES.md)
 HIDING_REGIMES = {  # (training s per candidate, measuring s per round)
     "train_dominates": (0.25, 0.05),
     "balanced": (0.25, 0.25),  # the upper bound is below train + P x measure: this case fails without overlap
@@ -220,7 +220,12 @@ def _timed_agent(store: Store, where: str, call_s: float):
         assert proc.stdout.readline() == "ready\n"
         yield durations
     finally:
-        out, _ = proc.communicate(timeout=10.0)
+        try:
+            out, _ = proc.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise
     assert proc.returncode == 0
     durations.extend(json.loads(out))
 
