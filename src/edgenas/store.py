@@ -1,21 +1,31 @@
 """Shared relational store: the only channel between optimizer and edge agent.
 
 Backed by a single-file SQLite database so that desk-scale runs need zero
-ops. It relies on SQLite beyond the DDL in schema.sql: poll_unmeasured
-expands device targets with json_each, insert_architecture uses INSERT OR
-IGNORE, and the user_version, journal_mode=WAL and foreign_keys PRAGMAs
-hold the schema version, let readers run beside a writer and enforce
-references. Write permissions
-follow the deployment's grant model, and everyone reads everything:
+ops. It relies on SQLite beyond the DDL in schema.sql: triggers expand an
+architecture's device targets with json_each, insert_architecture uses
+INSERT OR IGNORE, and the user_version, journal_mode=WAL and foreign_keys
+PRAGMAs hold the schema version, let readers run beside a writer and
+enforce references. Write permissions follow the deployment's grant
+model, and everyone reads everything:
 - the optimizer posts architectures (insert_architecture), scores them
   (insert_benchmark_result) and records its runs (upsert_run_metadata);
+  a post, and a re-post that adds a device, opens one pending_measurement
+  row per new (device, architecture);
 - the edge agent polls for architectures that miss a measurement
-  (poll_unmeasured) and upserts measurements (insert_measurement);
+  (poll_unmeasured), resolves the open rows it finds complete and upserts
+  measurements (insert_measurement);
 - readers take an architecture's measurements (get_measurements), a run's
   results joined with their architectures (query_results) and the runs
   (get_run_metadata, list_run_ids).
+A poll reads only the device's open rows, so it costs in proportion to the
+open work, not to every architecture ever posted. The agent's poll first
+deletes the device's open rows that are complete at its batch sizes; each
+device therefore has one batch-size set, and a row resolved at one set does
+not come back for a larger one. A reader's or the optimizer's poll only
+reads, and still leaves out complete architectures.
 Every public operation executes as one transaction and raises only
-StoreError subclasses; a handle is safe to share across threads.
+StoreError subclasses; a handle is safe to share across threads. Opening
+an older store upgrades it through MIGRATIONS in one transaction.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import dataclasses
 import enum
 import json
 import os
+import re
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -34,7 +45,7 @@ from importlib import resources
 from .optimizer import LOSS_WEIGHT
 from .search_space import DocumentError, decode, validate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SCORE_TOLERANCE = 1e-9
 
 
@@ -148,8 +159,42 @@ _RUN_INSERT = _insert_sql("run_metadata", RunMetadata, ("run_id",))
 _RESULT_COLUMNS = ", ".join(f"b.{f.name} AS b_{f.name}" for f in dataclasses.fields(BenchmarkResult))
 
 
-def _schema_sql() -> str:
-    return resources.files("edgenas").joinpath("schema.sql").read_text(encoding="utf-8")
+# Ordered upgrade steps: MIGRATIONS[v - 1] takes a version-v store to v + 1.
+# A step creates the named objects as schema.sql defines them, then runs its
+# statements.
+MIGRATIONS = (
+    (
+        ("pending_measurement", "pending_on_post", "pending_on_merge"),
+        (
+            "INSERT OR IGNORE INTO pending_measurement (device_type, architecture_id, posted_at)"
+            " SELECT jt.value, a.id, a.created_at FROM network_architecture a, json_each(a.device_targets) jt",
+            "DROP INDEX idx_architecture_created",  # only the version-1 poll's ORDER BY used it
+        ),
+    ),
+)
+
+
+def _schema_statements() -> dict[str, str]:
+    """schema.sql's statements, keyed by the name of the object each creates."""
+    text = resources.files("edgenas").joinpath("schema.sql").read_text(encoding="utf-8")
+    statements, pending = {}, ""
+    for line in text.splitlines(keepends=True):  # a trigger body holds ';' too
+        pending += line
+        if sqlite3.complete_statement(pending):
+            name = re.search(r"^CREATE \w+ (\w+)", pending, re.MULTILINE).group(1)
+            statements[name], pending = pending, ""
+    return statements
+
+
+def _upgrade_statements(version: int) -> list[str]:
+    """The statements that take a store at version (0: an empty file) to SCHEMA_VERSION."""
+    schema = _schema_statements()
+    if version == 0:
+        return list(schema.values())
+    upgrade = []
+    for creates, statements in MIGRATIONS[version - 1:]:
+        upgrade += [schema[name] for name in creates] + list(statements)
+    return upgrade
 
 
 class Store:
@@ -157,8 +202,10 @@ class Store:
 
     Opening refuses, and leaves as it was, a file that is not SQLite, a
     newer schema version or tables without our version. A missing or empty
-    file is refused unless create lays down the schema. The schema's CHECK
-    constraints validate column ranges; a violation raises ValidationError.
+    file is refused unless create lays down the schema. An older version is
+    upgraded in one transaction, which a failure leaves as it was. The
+    schema's CHECK constraints validate column ranges; a violation raises
+    ValidationError.
     """
 
     def __init__(self, path: str, create: bool = False):
@@ -183,9 +230,9 @@ class Store:
             refusal = SchemaVersionError(
                 f"store at {path} has schema version {version}, newer than supported {SCHEMA_VERSION}"
             )
-        elif version < SCHEMA_VERSION and tables:
+        elif version == 0 and tables:
             refusal = SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
-        elif version < SCHEMA_VERSION and not create:
+        elif version == 0 and not create:
             refusal = StoreError(f"store at {path} is not initialized; run init-store first")
         if refusal is not None:
             if conn is not None:
@@ -193,11 +240,24 @@ class Store:
             raise refusal
         self._conn = conn
         self._conn.row_factory = sqlite3.Row
-        with self._transaction():
-            self._conn.execute("PRAGMA foreign_keys = ON")
-            self._conn.execute("PRAGMA journal_mode = WAL")
+        try:
+            with self._transaction():
+                self._conn.execute("PRAGMA foreign_keys = ON")
+                self._conn.execute("PRAGMA journal_mode = WAL")  # changes only an empty file: a store is WAL already
             if version < SCHEMA_VERSION:
-                self._conn.executescript(_schema_sql())
+                self._upgrade()
+        except StoreError:
+            conn.close()
+            raise
+
+    def _upgrade(self) -> None:
+        """Lay down or migrate the schema in one write transaction; a failure leaves the file as it was."""
+        with self._transaction():
+            self._conn.execute("BEGIN IMMEDIATE")  # executescript would commit at once, so no script runs here
+            version = self._conn.execute("PRAGMA user_version").fetchone()[0]  # another opener may have upgraded
+            if version < SCHEMA_VERSION:
+                for statement in _upgrade_statements(version):
+                    self._conn.execute(statement)
                 self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     @classmethod
@@ -281,20 +341,28 @@ class Store:
     def poll_unmeasured(
         self, role: Role, device_type: str, batch_sizes: tuple[int, ...]
     ) -> list[ArchitectureRecord]:
-        """Architectures targeting device_type that miss any of batch_sizes, oldest first."""
-        del role  # every role may read
-        placeholders = ",".join("?" for _ in batch_sizes)
-        sql = (
-            "SELECT a.* FROM network_architecture a"
-            " WHERE EXISTS (SELECT 1 FROM json_each(a.device_targets) jt WHERE jt.value = ?)"
-            " AND (SELECT COUNT(*) FROM edge_measurement m"
-            "      WHERE m.architecture_id = a.id AND m.device_type = ?"
-            f"        AND m.batch_size IN ({placeholders})) < ?"
-            " ORDER BY a.created_at ASC, a.id ASC"
+        """Open architectures for device_type that miss any of batch_sizes, oldest first.
+
+        As the edge agent, first resolve (delete) the device's open rows that
+        are complete at batch_sizes, in the same transaction.
+        """
+        measured = (
+            "(SELECT COUNT(*) FROM edge_measurement m WHERE m.architecture_id = pending_measurement.architecture_id"
+            " AND m.device_type = pending_measurement.device_type"
+            f" AND m.batch_size IN ({','.join('?' * len(batch_sizes))}))"
         )
-        params = [device_type, device_type, *batch_sizes, len(batch_sizes)]
+        params = [device_type, *batch_sizes, len(batch_sizes)]
         with self._transaction():
-            rows = self._conn.execute(sql, params).fetchall()
+            if role == Role.EDGE_AGENT:
+                self._conn.execute(
+                    f"DELETE FROM pending_measurement WHERE device_type = ? AND {measured} >= ?", params
+                )
+            rows = self._conn.execute(  # CROSS JOIN keeps the open rows the outer loop
+                "SELECT a.* FROM pending_measurement CROSS JOIN network_architecture a"
+                " ON a.id = pending_measurement.architecture_id"
+                f" WHERE pending_measurement.device_type = ? AND {measured} < ? ORDER BY a.created_at, a.id",
+                params,
+            ).fetchall()
         return [self._architecture_from_row(r) for r in rows]
 
     @staticmethod

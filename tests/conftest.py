@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +65,21 @@ def add_failing_trigger(path, table: str) -> None:
         conn.commit()
     finally:
         conn.close()
+
+
+def make_v1_store(path, populate=None) -> str:
+    """A version-1 store as the version-1 code left it: the frozen schema text, WAL, user_version 1, closed.
+
+    populate(conn), if given, adds rows with raw SQL before the commit.
+    """
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("PRAGMA journal_mode = WAL")
+        conn.executescript((Path(__file__).parent / "fixtures" / "schema_v1.sql").read_text(encoding="utf-8"))
+        conn.execute("PRAGMA user_version = 1")
+        if populate is not None:
+            populate(conn)
+        conn.commit()
+    finally:
+        conn.close()
+    return str(path)

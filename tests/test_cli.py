@@ -45,7 +45,7 @@ def cli(tmp_path, monkeypatch, capsys):
 
 
 def test_init_store_is_idempotent(cli, tmp_path):
-    expected = f"store at {tmp_path / 'cli.sqlite'} ready (schema version 1)\n"
+    expected = f"store at {tmp_path / 'cli.sqlite'} ready (schema version 2)\n"
     assert cli("init-store") == (0, expected)
     assert cli("init-store") == (0, expected)
 

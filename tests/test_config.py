@@ -29,7 +29,7 @@ def test_store_path_precedence(write_config, monkeypatch, tmp_path, capsys):
     assert load_config(path).store_path == str(tmp_path / "env.sqlite")
     flag = tmp_path / "flag.sqlite"
     assert main(["--config", path, "--store", str(flag), "init-store"]) == 0
-    assert capsys.readouterr().out == f"store at {flag} ready (schema version 1)\n"
+    assert capsys.readouterr().out == f"store at {flag} ready (schema version 2)\n"
     assert flag.exists() and not (tmp_path / "env.sqlite").exists()
 
 

@@ -159,6 +159,76 @@ def test_poll_filters_by_device_type_and_orders_by_created_at(store):
     assert [r.id for r in other] == [c, a]
 
 
+def _open_rows(store) -> list[tuple[str, int]]:
+    """The store's open (device, architecture) rows, read through a connection of its own."""
+    conn = sqlite3.connect(store.path)
+    try:
+        return conn.execute("SELECT device_type, architecture_id FROM pending_measurement ORDER BY 1, 2").fetchall()
+    finally:
+        conn.close()
+
+
+def test_only_the_agent_poll_resolves_open_rows(store):
+    arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
+    for batch in BATCH_SIZES:
+        store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, batch))
+    for role in (Role.READER, Role.OPTIMIZER):
+        assert store.poll_unmeasured(role, DEVICE, BATCH_SIZES) == []
+        assert _open_rows(store) == [(DEVICE, arch_id)]
+    assert store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES) == []
+    assert _open_rows(store) == []
+
+
+def test_agent_poll_resolves_only_its_device_rows_complete_at_its_batch_sizes(store):
+    both = store.insert_architecture(Role.OPTIMIZER, _arch(lineage=0, targets=(DEVICE, "dev-b")))
+    partial = store.insert_architecture(Role.OPTIMIZER, _arch(lineage=1))
+    for batch in BATCH_SIZES:
+        for device in (DEVICE, "dev-b"):
+            store.insert_measurement(Role.EDGE_AGENT, _measurement(both, batch, device=device))
+    for batch in (1, 2):
+        store.insert_measurement(Role.EDGE_AGENT, _measurement(partial, batch))
+    assert [r.id for r in store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES)] == [partial]
+    assert _open_rows(store) == [("dev-b", both), (DEVICE, partial)]  # a partly measured one stays open
+    assert store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, (1, 2)) == []  # complete at a smaller set
+    assert _open_rows(store) == [("dev-b", both)]
+    # a row resolved at one batch-size set does not come back for a larger one
+    assert store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES) == []
+
+
+def test_merge_reopens_the_added_device_only(store):
+    arch_id = store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-a",)))
+    for batch in BATCH_SIZES:
+        store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, batch, device="dev-a"))
+    store.poll_unmeasured(Role.EDGE_AGENT, "dev-a", BATCH_SIZES)
+    assert _open_rows(store) == []
+    store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-a", "dev-b")))
+    assert _open_rows(store) == [("dev-b", arch_id)]
+    assert [r.id for r in store.poll_unmeasured(Role.EDGE_AGENT, "dev-b", BATCH_SIZES)] == [arch_id]
+    assert store.poll_unmeasured(Role.EDGE_AGENT, "dev-a", BATCH_SIZES) == []
+
+
+@pytest.mark.parametrize("role", list(Role), ids=[r.value for r in Role])
+def test_poll_searches_open_rows_by_key_and_never_scans(store, role):
+    for lineage in range(3):
+        store.insert_architecture(Role.OPTIMIZER, _arch(lineage=lineage))
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)  # statements arrive with their parameters bound
+    try:
+        store.poll_unmeasured(role, DEVICE, BATCH_SIZES)
+    finally:
+        store._conn.set_trace_callback(None)
+    queries = [s for s in statements if s.lstrip().upper().startswith(("SELECT", "DELETE"))]
+    assert len(queries) == (2 if role == Role.EDGE_AGENT else 1)
+    conn = sqlite3.connect(store.path)
+    try:
+        for query in queries:
+            plan = [row[3] for row in conn.execute("EXPLAIN QUERY PLAN " + query)]
+            assert plan[0] == "SEARCH pending_measurement USING PRIMARY KEY (device_type=?)", plan
+            assert not [step for step in plan if step.startswith("SCAN")], plan
+    finally:
+        conn.close()
+
+
 def test_remeasurement_last_writer_wins(store):
     arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
     store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, 1, mean=10.0))
@@ -279,7 +349,7 @@ def test_initialize_idempotent(tmp_path):
     with Store.initialize(path) as store:
         store.insert_architecture(Role.OPTIMIZER, _arch())
     with Store.initialize(path) as again:
-        assert again.schema_version == 1
+        assert again.schema_version == 2
         assert len(again.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)) == 1
 
 
@@ -355,7 +425,7 @@ def test_empty_file_needs_create(tmp_path):
     with pytest.raises(StoreError, match="init-store"):
         Store(str(path))
     with Store.initialize(str(path)) as store:
-        assert store.schema_version == 1
+        assert store.schema_version == 2
 
 
 def test_directory_path_is_store_error(tmp_path):

@@ -1,23 +1,28 @@
 """Model-based test of the store protocol: a Hypothesis state machine checks the store against plain dicts.
 
-Each step posts an architecture, upserts a measurement, adds a benchmark
-result or tries an insert the role matrix denies; after each step every
-read the agent and the coordinator rely on must agree with the model. The
-same machine runs on one handle and on two handles of one file, the
-split-process case.
+Each step posts an architecture, upserts a measurement or a whole report,
+polls as one of the roles, adds a benchmark result or tries an insert the
+role matrix denies; after each step every read the agent and the
+coordinator rely on, and the open pending_measurement rows, must agree
+with the model. The same machine runs on one handle, on two handles of one
+file (the split-process case), and on a version-1 store holding rows that
+the first open migrates.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import sqlite3
 import tempfile
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, multiple, rule
 
+from conftest import make_v1_store
 from edgenas.search_space import default_config, encode, sample
 from edgenas.store import (
     ArchitectureRecord,
@@ -42,24 +47,74 @@ DENIED = [
 ]
 
 
+# Rows of a version-1 store: (id, run_id, lineage_id, spec_document, device_targets, created_at), and the
+# (architecture_id, device, batch size) it had measured. A post of key ("r1", 0, DOCUMENTS[0]) merges into the first.
+V1_ARCHITECTURES = (
+    (1, "r1", 0, DOCUMENTS[0], [DEVICES[0]], TIMESTAMPS[1]),
+    (2, "r2", 1, DOCUMENTS[1], list(DEVICES), TIMESTAMPS[0]),
+)
+V1_MEASURED = ((1, DEVICES[0], 1), (1, DEVICES[0], 2), (1, DEVICES[0], 4), (2, DEVICES[1], 8))
+
+
+def _populate_v1(conn: sqlite3.Connection) -> None:
+    for arch_id, run_id, lineage_id, document, targets, created_at in V1_ARCHITECTURES:
+        conn.execute(
+            "INSERT INTO network_architecture VALUES (?, ?, ?, ?, ?, ?)",
+            (arch_id, run_id, lineage_id, document, json.dumps(targets), created_at),
+        )
+    for arch_id, device, batch_size in V1_MEASURED:
+        conn.execute(
+            "INSERT INTO edge_measurement (architecture_id, device_type, batch_size, latency_ms_mean,"
+            " latency_ms_std, num_runs, num_warmup, measured_at) VALUES (?, ?, ?, 5.0, 0.1, 10, 3, ?)",
+            (arch_id, device, batch_size, TIMESTAMPS[0]),
+        )
+
+
 class StoreProtocol(RuleBasedStateMachine):
     handle_count = 1
+    from_v1 = False
     architectures = Bundle("architectures")
 
     def __init__(self):
         super().__init__()
         self.tmp = tempfile.TemporaryDirectory()
         path = f"{self.tmp.name}/model.sqlite"
-        self.handles = [Store.initialize(path)]
-        self.handles += [Store(path) for _ in range(self.handle_count - 1)]
         self.posted: dict[tuple, ArchitectureRecord] = {}  # (run_id, lineage_id, spec_document) -> first post, all targets
         self.measured: dict[tuple, EdgeMeasurement] = {}  # (architecture_id, device, batch size) -> last write
         self.results: dict[str, list[tuple[BenchmarkResult, ArchitectureRecord]]] = {r: [] for r in RUN_IDS}
+        self.open: set[tuple[str, int]] = set()  # (device, architecture_id) no agent poll has resolved
+        if self.from_v1:
+            make_v1_store(path, _populate_v1)
+            for arch_id, run_id, lineage_id, document, targets, created_at in V1_ARCHITECTURES:
+                self.posted[(run_id, lineage_id, document)] = ArchitectureRecord(
+                    run_id, lineage_id, document, targets, created_at, arch_id
+                )
+                self.open |= {(device, arch_id) for device in targets}
+            for arch_id, device, batch_size in V1_MEASURED:
+                self.measured[(arch_id, device, batch_size)] = EdgeMeasurement(
+                    arch_id, device, batch_size, 5.0, 0.1, 10, 3, measured_at=TIMESTAMPS[0]
+                )
+        self.handles = [Store.initialize(path)]
+        self.handles += [Store(path) for _ in range(self.handle_count - 1)]
+        self.reader = sqlite3.connect(path)  # reads the open rows, which no store method returns
 
     def teardown(self):
+        self.reader.close()
         for handle in self.handles:
             handle.close()
         self.tmp.cleanup()
+
+    def _incomplete(self, device: str) -> list[ArchitectureRecord]:
+        """The architectures targeting device that miss a batch size, oldest first."""
+        return sorted(
+            (a for a in self.posted.values() if device in a.device_targets
+             and any((a.id, device, b) not in self.measured for b in BATCH_SIZES)),
+            key=lambda a: (a.created_at, a.id),
+        )
+
+    @initialize(target=architectures)
+    def migrated_architectures(self):
+        return multiple(*(a.id for a in self.posted.values()))
 
     def _via(self, handle: int) -> Store:
         return self.handles[handle % len(self.handles)]
@@ -80,9 +135,11 @@ class StoreProtocol(RuleBasedStateMachine):
         if key in self.posted:  # a repeated post adds its device targets and returns the first id
             first = self.posted[key]
             assert arch_id == first.id
+            self.open |= {(device, arch_id) for device in set(device_targets) - set(first.device_targets)}
             first.device_targets = sorted(set(first.device_targets) | set(device_targets))
         else:
             self.posted[key] = dataclasses.replace(record, device_targets=sorted(device_targets), id=arch_id)
+            self.open |= {(device, arch_id) for device in device_targets}
         return arch_id
 
     @rule(
@@ -99,6 +156,21 @@ class StoreProtocol(RuleBasedStateMachine):
         )
         self._via(handle).insert_measurement(Role.EDGE_AGENT, row)
         self.measured[(arch_id, device, batch_size)] = row
+
+    @rule(handle=st.integers(0, 1), arch_id=architectures, device=st.sampled_from(DEVICES))
+    def report(self, handle, arch_id, device):
+        """The agent's report of one architecture: a measurement at each batch size."""
+        for batch_size in BATCH_SIZES:
+            self.measure(handle, arch_id, device, batch_size, 1.0)
+
+    @rule(handle=st.integers(0, 1), role=st.sampled_from(list(Role)), device=st.sampled_from(DEVICES))
+    def poll(self, handle, role, device):
+        """Every role reads the incomplete set; only the agent's poll resolves the complete open rows."""
+        expected = self._incomplete(device)
+        assert self._via(handle).poll_unmeasured(role, device, BATCH_SIZES) == expected
+        if role == Role.EDGE_AGENT:
+            still_open = {a.id for a in expected}
+            self.open = {(d, arch_id) for d, arch_id in self.open if d != device or arch_id in still_open}
 
     @rule(
         handle=st.integers(0, 1),
@@ -135,13 +207,14 @@ class StoreProtocol(RuleBasedStateMachine):
     @invariant()
     def poll_returns_the_incomplete_set_oldest_first(self):
         for device in DEVICES:
-            expected = sorted(
-                (a for a in self.posted.values() if device in a.device_targets
-                 and any((a.id, device, b) not in self.measured for b in BATCH_SIZES)),
-                key=lambda a: (a.created_at, a.id),
-            )
+            expected = self._incomplete(device)
             for handle in self.handles:
-                assert handle.poll_unmeasured(Role.EDGE_AGENT, device, BATCH_SIZES) == expected
+                assert handle.poll_unmeasured(Role.READER, device, BATCH_SIZES) == expected
+
+    @invariant()
+    def open_rows_match(self):
+        rows = self.reader.execute("SELECT device_type, architecture_id FROM pending_measurement").fetchall()
+        assert set(rows) == self.open
 
     @invariant()
     def measurements_match(self):
@@ -171,7 +244,13 @@ class StoreProtocolTwoHandles(StoreProtocol):
     handle_count = 2
 
 
+class StoreProtocolMigrated(StoreProtocol):
+    from_v1 = True
+
+
 TestStoreProtocol = StoreProtocol.TestCase
 TestStoreProtocol.settings = MACHINE_SETTINGS
 TestStoreProtocolTwoHandles = StoreProtocolTwoHandles.TestCase
 TestStoreProtocolTwoHandles.settings = MACHINE_SETTINGS
+TestStoreProtocolMigrated = StoreProtocolMigrated.TestCase
+TestStoreProtocolMigrated.settings = MACHINE_SETTINGS
