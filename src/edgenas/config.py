@@ -57,6 +57,10 @@ class AgentSection:
     measurement_timeout_s: float = MEASUREMENT_COMMAND_TIMEOUT_S
     call_duration_s: float = 0.0
 
+    def __post_init__(self):
+        if self.measurement_timeout_s <= 0:
+            raise ValueError("measurement_timeout_s must be > 0")
+
 
 @dataclass
 class ReportSection:

@@ -92,13 +92,9 @@ class DispatchSettings:
     batch_sizes: tuple[int, ...] = AgentConfig.batch_sizes
     poll_interval_s: float = 0.25
 
-
-def _check_score_batch_size(run_config: RunConfig, settings: DispatchSettings) -> None:
-    """Raise ValueError unless the scored batch size is one the agent measures."""
-    if run_config.score_batch_size not in settings.batch_sizes:
-        raise ValueError(
-            f"score_batch_size {run_config.score_batch_size} not in measured batch sizes {settings.batch_sizes}"
-        )
+    def __post_init__(self):
+        if self.poll_interval_s < 0:
+            raise ValueError("poll_interval_s must be >= 0")
 
 
 def dispatch_candidate(
@@ -193,6 +189,23 @@ class RunSummary:
         return self.history.failure_counts()
 
 
+def _record_run(
+    store: Store, run_id: str, run_config: RunConfig, settings: DispatchSettings, **document
+) -> RunMetadata:
+    """Write the run's record: its settings, with document on top, as the config document.
+
+    Raises ValueError before any write unless the scored batch size is one the agent measures.
+    """
+    if run_config.score_batch_size not in settings.batch_sizes:
+        raise ValueError(
+            f"score_batch_size {run_config.score_batch_size} not in measured batch sizes {settings.batch_sizes}"
+        )
+    config_document = json.dumps({**asdict(run_config), **asdict(settings), **document}, sort_keys=True)
+    metadata = RunMetadata(run_id, config_document, seed=run_config.seed, started_at=utc_now())
+    store.upsert_run_metadata(Role.OPTIMIZER, metadata)
+    return metadata
+
+
 def run_nas(
     run_config: RunConfig,
     store: Store,
@@ -201,14 +214,11 @@ def run_nas(
     settings: DispatchSettings = DispatchSettings(),
 ) -> RunSummary:
     """One full NAS run: EA driving dispatch_candidate, metadata persisted."""
-    _check_score_batch_size(run_config, settings)
     run_id = run_id or default_run_id(run_config)
     if store.get_run_metadata(run_id) is not None:  # a second run would add a second result per candidate
         raise ValueError(f"run {run_id} is already in the store")
     started = time.perf_counter()
-    config_document = json.dumps({**asdict(run_config), **asdict(settings)}, sort_keys=True)
-    metadata = RunMetadata(run_id, config_document, seed=run_config.seed, started_at=utc_now())
-    store.upsert_run_metadata(Role.OPTIMIZER, metadata)
+    metadata = _record_run(store, run_id, run_config, settings)
 
     history = run_ea(
         run_config,
@@ -245,16 +255,8 @@ def evaluate_baseline(
 
     Raises EvaluationFailed as dispatch_candidate does.
     """
-    _check_score_batch_size(run_config, settings)
     # budget 0 is what report summary reads as the baseline row
-    config_document = json.dumps(
-        {**asdict(run_config), **asdict(settings), "population_size": 0, "total_evaluations": 0, "baseline": True},
-        sort_keys=True,
-    )
-    store.upsert_run_metadata(
-        Role.OPTIMIZER,
-        RunMetadata(run_id=BASELINE_RUN_ID, config_document=config_document, seed=run_config.seed),
-    )
+    _record_run(store, BASELINE_RUN_ID, run_config, settings, population_size=0, total_evaluations=0, baseline=True)
     return dispatch_candidate(
         default_config(), run_config, store, trainer,
         run_id=BASELINE_RUN_ID, lineage_id=0,

@@ -159,11 +159,6 @@ def spec_distance(spec: HyperparamSpec, reference: HyperparamSpec) -> float:
     return sum(terms) / len(terms)
 
 
-def categorical_mismatches(spec: HyperparamSpec, reference: HyperparamSpec) -> int:
-    """Count of discrete entries differing from the reference (0 = match)."""
-    return sum(f.mismatches(getattr(spec, f.name), getattr(reference, f.name)) for f in FIELDS)
-
-
 def synthetic_val_loss(
     spec: HyperparamSpec,
     epochs: int,

@@ -52,6 +52,8 @@ class AgentConfig:
             raise ValueError("num_timed_runs must be >= 1")
         if self.num_warmup < 0:
             raise ValueError("num_warmup must be >= 0")
+        if self.poll_interval_ms < 0:
+            raise ValueError("poll_interval_ms must be >= 0")
 
 
 @dataclass(frozen=True)

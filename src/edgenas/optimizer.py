@@ -114,6 +114,8 @@ class RunConfig:
             raise ValueError("total_evaluations must be >= population_size")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.measurement_timeout_s <= 0:
+            raise ValueError("measurement_timeout_s must be > 0")
 
 
 @dataclass

@@ -29,7 +29,6 @@ class DocumentError(ValueError):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,6 @@ class Choice:
 
     def to_document(self, value):
         return value
-
-    def mismatches(self, a, b) -> int:
-        return int(a != b)
 
     def distance(self, a, b) -> float:
         return float(a != b)
@@ -137,11 +133,8 @@ class ChoiceVector:
     def to_document(self, value):
         return list(value)
 
-    def mismatches(self, a, b) -> int:
-        return sum(x != y for x, y in zip(a, b))
-
     def distance(self, a, b) -> float:
-        return self.mismatches(a, b) / self.length
+        return sum(x != y for x, y in zip(a, b)) / self.length
 
     def median(self, values: list):
         return tuple(statistics.median_low([v[i] for v in values]) for i in range(self.length))
@@ -163,9 +156,6 @@ class _Real:
 
     def to_document(self, value):
         return value
-
-    def mismatches(self, a, b) -> int:
-        return 0
 
     def median(self, values: list):
         return statistics.median(values)

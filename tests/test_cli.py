@@ -122,6 +122,38 @@ def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypa
     assert rows == [0, 0]
 
 
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("run:\n  poll_interval_ms: -5\n", "poll_interval_s must be >= 0"),
+        ("run:\n  measurement_timeout_s: -1\n", "measurement_timeout_s must be > 0"),
+        ("run:\n  measurement_timeout_s: 0\n", "measurement_timeout_s must be > 0"),
+        ("agent:\n  poll_interval_ms: -5\n", "agent: poll_interval_ms must be >= 0"),
+        ("agent:\n  measurement_timeout_s: -1\n", "agent: measurement_timeout_s must be > 0"),
+    ],
+    ids=["run-poll", "run-timeout", "run-timeout-zero", "agent-poll", "agent-timeout"],
+)
+def test_bad_time_setting_refused_before_any_write(tmp_path, monkeypatch, capsys, command, text, message):
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    store = tmp_path / "cli.sqlite"
+    config = tmp_path / "times.yaml"
+    config.write_text(text)
+    assert main(["--store", str(store), "init-store"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "--store", str(store), command]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    conn = sqlite3.connect(store)
+    try:
+        rows = [
+            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("run_metadata", "network_architecture")
+        ]
+    finally:
+        conn.close()
+    assert rows == [0, 0]
+
+
 def test_non_sqlite_store_is_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("EDGENAS_STORE", raising=False)
     notes = tmp_path / "notes.txt"

@@ -6,6 +6,7 @@ import pytest
 
 from edgenas.cli import _make_backend, main
 from edgenas.config import DEFAULT_STORE_PATH, ENV_STORE, ConfigError, load_config
+from edgenas.coordinator import DispatchSettings
 from edgenas.search_space import default_config, to_document_dict
 
 
@@ -135,6 +136,12 @@ def test_constructor_checks_name_the_section(write_config):
         load_config(write_config("agent: {batch_sizes: [4, 2]}\n"))
     with pytest.raises(ConfigError, match=r"^device_profile: ms_per_gflop must be > 0$"):
         load_config(write_config("device_profile: {ms_per_gflop: 0}\n"))
+
+
+def test_zero_poll_intervals_are_legal(write_config):
+    cfg = load_config(write_config("run: {poll_interval_ms: 0}\nagent: {poll_interval_ms: 0}\n"))
+    assert cfg.agent.config.poll_interval_ms == 0
+    assert DispatchSettings(poll_interval_s=cfg.run.poll_interval_ms / 1000.0).poll_interval_s == 0.0
 
 
 def test_planted_optimum(write_config):

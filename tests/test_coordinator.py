@@ -292,3 +292,17 @@ def test_baseline_record_names_its_device(store):
     assert (record["device_type"], record["batch_sizes"]) == ("dev-a", [1, 2, 4, 8])
     # report summary reads budget 0 as the baseline row
     assert (record["population_size"], record["total_evaluations"], record["baseline"]) == (0, 0, True)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="evaluate_baseline dispatches again under the fixed run id 'baseline'; serving a baseline "
+    "already scored for the device from the store is ROADMAP item 6",
+)
+def test_repeated_baseline_keeps_one_result_per_device(store):
+    run_config = RunConfig(population_size=1, total_evaluations=1, measurement_timeout_s=5.0)
+    with _agent(store, device_type="dev-a"):
+        for _ in range(2):
+            evaluate_baseline(store, SimulatedTrainer(), run_config, replace(FAST, device_type="dev-a"))
+    validation = [r for r, _ in store.query_results(BASELINE_RUN_ID) if r.split == "validation"]
+    assert len(validation) == 1
