@@ -210,15 +210,19 @@ def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _best_entries(store: Store, run_id: str):
-    """(best validation row, matching test row or None) for one run."""
-    rows = store.query_results(run_id)
-    validation = [r for r, _ in rows if r.split == "validation"]
+    """(best validation row, its own test row or None) for one run.
+
+    A candidate writes its test row right after its validation row, and a
+    lineage that revisits a spec shares its architecture row in a later round.
+    So the evaluation's test row is the architecture's next row, if that is one.
+    """
+    rows = [r for r, _ in store.query_results(run_id)]
+    validation = [r for r in rows if r.split == "validation"]
     if not validation:
         return None, None
     best = min(validation, key=lambda r: (r.score, r.id))
-    tests = [r for r, _ in rows if r.split == "test" and r.architecture_id == best.architecture_id]
-    best_test = min(tests, key=lambda r: (r.score, r.id)) if tests else None
-    return best, best_test
+    following = next((r for r in rows if r.architecture_id == best.architecture_id and r.id > best.id), None)
+    return best, following if following is not None and following.split == "test" else None
 
 
 def _require_runs(store: Store, run_ids: list[str]) -> None:

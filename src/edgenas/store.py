@@ -203,51 +203,43 @@ class Store:
     Opening refuses, and leaves as it was, a file that is not SQLite, a
     newer schema version or tables without our version. A missing or empty
     file is refused unless create lays down the schema. An older version is
-    upgraded in one transaction, which a failure leaves as it was. The
-    schema's CHECK constraints validate column ranges; a violation raises
-    ValidationError.
+    upgraded in one transaction, which a failure leaves as it was. An open
+    that fails for any reason closes its handle. The schema's CHECK
+    constraints validate column ranges; a violation raises ValidationError.
     """
 
     def __init__(self, path: str, create: bool = False):
         self.path = path
         self._lock = threading.RLock()
-        conn = None
-        version = tables = 0  # a missing file reads as empty, and only create makes it
-        if create or os.path.exists(path):
-            try:
-                conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
-            except sqlite3.Error as exc:  # a directory, or a missing parent directory
-                raise StoreError(f"store at {path}: {exc}") from exc
-            try:
-                # read before any PRAGMA that writes, so that a refused file is left as it was
-                version = conn.execute("PRAGMA user_version").fetchone()[0]
-                tables = conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
-            except sqlite3.DatabaseError as exc:
-                conn.close()
-                raise StoreError(f"store at {path} is not an SQLite database: {exc}") from exc
-        refusal = None
-        if version > SCHEMA_VERSION:
-            refusal = SchemaVersionError(
-                f"store at {path} has schema version {version}, newer than supported {SCHEMA_VERSION}"
-            )
-        elif version == 0 and tables:
-            refusal = SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
-        elif version == 0 and not create:
-            refusal = StoreError(f"store at {path} is not initialized; run init-store first")
-        if refusal is not None:
-            if conn is not None:
-                conn.close()
-            raise refusal
-        self._conn = conn
-        self._conn.row_factory = sqlite3.Row
+        uninitialized = f"store at {path} is not initialized; run init-store first"
+        if not (create or os.path.exists(path)):  # only create makes the file
+            raise StoreError(uninitialized)
         try:
+            self._conn = sqlite3.connect(path, check_same_thread=False, timeout=30.0)
+        except sqlite3.Error as exc:  # a directory, or a missing parent directory
+            raise StoreError(f"store at {path}: {exc}") from exc
+        self._conn.row_factory = sqlite3.Row
+        try:  # every failure from here on closes the handle
+            try:  # read before any PRAGMA that writes, so that a refused file is left as it was
+                version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                tables = self._conn.execute("SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+            except sqlite3.DatabaseError as exc:
+                raise StoreError(f"store at {path} is not an SQLite database: {exc}") from exc
+            if version > SCHEMA_VERSION:
+                raise SchemaVersionError(
+                    f"store at {path} has schema version {version}, newer than supported {SCHEMA_VERSION}"
+                )
+            if version == 0 and tables:
+                raise SchemaVersionError(f"store at {path} has an unversioned, unrecognized schema")
+            if version == 0 and not create:
+                raise StoreError(uninitialized)
             with self._transaction():
                 self._conn.execute("PRAGMA foreign_keys = ON")
                 self._conn.execute("PRAGMA journal_mode = WAL")  # changes only an empty file: a store is WAL already
             if version < SCHEMA_VERSION:
                 self._upgrade()
-        except StoreError:
-            conn.close()
+        except BaseException:
+            self._conn.close()
             raise
 
     def _upgrade(self) -> None:

@@ -15,7 +15,8 @@ from edgenas import cli as cli_module
 from edgenas import edge_agent
 from edgenas.cli import main
 from edgenas.optimizer import HISTORY_CSV_COLUMNS
-from edgenas.store import Role, Store
+from edgenas.search_space import default_config, encode
+from edgenas.store import ArchitectureRecord, BenchmarkResult, Role, RunMetadata, Store
 
 RUN_ID = "run-s0-n16-p8"
 
@@ -86,6 +87,41 @@ def test_search_baseline_and_reports(cli, tmp_path):
         "  learning_rate  0.03922\n"
         "  lr_step_size   20\n"
         "  lr_gamma       0.7228\n",
+    )
+
+
+# (lineage, val_loss, test_loss or None) per evaluation of the baseline spec, in write order,
+# at 10 ms: lineage 0 revisits its spec in a later round, so both visits share one architecture
+@pytest.mark.parametrize(
+    "evaluations,best_row",
+    [
+        (
+            [(0, 0.1, 0.3), (1, 0.3, 0.2), (0, 0.2, 0.05)],
+            "2        110.0000   0.1000    10.00ms         310.0000    0.3000\n",
+        ),
+        (
+            [(0, 0.1, None), (1, 0.3, 0.2), (0, 0.2, 0.05)],
+            "2        110.0000   0.1000    10.00ms         -           -\n",
+        ),
+    ],
+    ids=["revisited_best", "best_without_test_row"],
+)
+def test_summary_pairs_the_best_evaluation_with_its_own_test_row(cli, tmp_path, evaluations, best_row):
+    cli("init-store")
+    with Store(str(tmp_path / "cli.sqlite")) as store:
+        store.upsert_run_metadata(Role.OPTIMIZER, RunMetadata("revisits", json.dumps({"total_evaluations": 2})))
+        for lineage, val_loss, test_loss in evaluations:
+            arch = store.insert_architecture(
+                Role.OPTIMIZER, ArchitectureRecord("revisits", lineage, encode(default_config()), ["dev"])
+            )
+            for split, loss in (("validation", val_loss), ("test", test_loss)):
+                if loss is not None:
+                    store.insert_benchmark_result(
+                        Role.OPTIMIZER,
+                        BenchmarkResult(arch, "revisits", 1, loss, 10.0, loss * 1000.0 + 10.0, split),
+                    )
+    assert cli("report", "summary", "--run-ids", "revisits") == (
+        0, "samples  val_score  val_loss  inference_time  test_score  test_loss\n" + best_row
     )
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_v1_store
+from edgenas import store as store_module
 from edgenas.search_space import default_config, encode
 from edgenas.store import SCHEMA_VERSION, Role, SchemaVersionError, Store, StoreError
 
@@ -147,6 +148,17 @@ def test_failed_migration_leaves_the_file_byte_identical(tmp_path, extra_sql, me
     assert _digest(path) == before
     assert _query(path, "PRAGMA user_version") == [(1,)]
     assert os.listdir(tmp_path) == ["v1.sqlite"]  # no -wal or -shm file beside it
+
+
+def test_migration_step_that_raises_outside_sqlite_closes_the_handle(tmp_path, monkeypatch):
+    path = _v1_store(tmp_path / "v1.sqlite")
+    before = _digest(path)
+    monkeypatch.setattr(store_module, "MIGRATIONS", ((("no_such_object",), ()),))  # not in schema.sql
+    with pytest.raises(KeyError, match="no_such_object") as raised:
+        Store(path)
+    # raised still holds the exception, and with it every frame of the failed open
+    assert os.listdir(tmp_path) == ["v1.sqlite"]  # no -wal or -shm file beside it
+    assert _digest(path) == before
 
 
 def test_newer_store_refused_byte_identical(tmp_path):
