@@ -27,9 +27,9 @@ import threading
 
 from . import coordinator, edge_agent
 from .config import CliConfig, load_config
-from .coordinator import DispatchSettings, ExternalTrainer, SimulatedTrainer
+from .coordinator import ExternalTrainer, SimulatedTrainer
 from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
-from .optimizer import EvaluationFailed, RunConfig, pareto_front, top_decile_medians, write_history_csv
+from .optimizer import EvaluationFailed, pareto_front, top_decile_medians, write_history_csv
 from .search_space import FIELDS, decode
 from .store import Store, StoreError
 
@@ -143,27 +143,9 @@ def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
         raise CommandError(f"embedded agent did not stop within {AGENT_JOIN_TIMEOUT_S} s")
 
 
-def _run_config(cfg: CliConfig, **flags) -> RunConfig:
-    """The run section as a RunConfig; flags that are not None override it."""
-    values = dict(
-        population_size=cfg.run.population,
-        total_evaluations=cfg.run.samples,
-        seed=cfg.run.seed,
-        epochs=cfg.run.epochs,
-        score_batch_size=cfg.run.score_batch_size,
-        measurement_timeout_s=cfg.run.measurement_timeout_s,
-    )
-    values.update((key, value) for key, value in flags.items() if value is not None)
-    return RunConfig(**values)
-
-
 def _dispatch(args: argparse.Namespace, cfg: CliConfig, job, **kwargs):
     """job(store=, trainer=, settings=, **kwargs) on the configured store, with the embedded agent unless detached."""
-    settings = DispatchSettings(
-        device_type=cfg.agent.config.device_type,
-        batch_sizes=cfg.agent.config.batch_sizes,
-        poll_interval_s=cfg.run.poll_interval_ms / 1000.0,
-    )
+    settings = cfg.dispatch_settings()
     with Store(cfg.store_path) as store:
         # an external trainer means a real edge agent serves the device
         embed = not (cfg.run.trainer_command or args.no_embedded_agent)
@@ -172,9 +154,8 @@ def _dispatch(args: argparse.Namespace, cfg: CliConfig, job, **kwargs):
 
 
 def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
-    run_config = _run_config(
-        cfg, population_size=args.population, total_evaluations=args.samples,
-        seed=args.seed, epochs=args.epochs,
+    run_config = cfg.run.run_config(
+        population_size=args.population, total_evaluations=args.samples, seed=args.seed, epochs=args.epochs
     )
     history_csv = args.history_csv or cfg.report.history_csv
     if history_csv:  # refuse an unwritable path before the search posts anything; "a" truncates nothing
@@ -200,8 +181,7 @@ def _cmd_run(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 def _cmd_baseline(args: argparse.Namespace, cfg: CliConfig) -> int:
     try:
-        run_config = _run_config(cfg, population_size=1, total_evaluations=1)
-        b = _dispatch(args, cfg, coordinator.evaluate_baseline, run_config=run_config)
+        b = _dispatch(args, cfg, coordinator.evaluate_baseline, run_config=cfg.run.run_config())
     except EvaluationFailed as exc:
         print(f"baseline evaluation failed: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,10 @@ class ConfigError(ValueError):
     pass
 
 
+# the RunConfig fields whose run-section key has another name
+_RUN_SECTION_KEYS = {"population_size": "population", "total_evaluations": "samples"}
+
+
 @dataclass
 class RunSection:
     population: int = RunConfig.population_size
@@ -47,6 +51,12 @@ class RunSection:
     poll_interval_ms: int = round(DispatchSettings.poll_interval_s * 1000)
     trainer_duration_s: float = 0.0
     trainer_command: list[str] | None = None
+
+    def run_config(self, **overrides) -> RunConfig:
+        """The section as a RunConfig; overrides (by RunConfig field) that are not None replace its values."""
+        values = {f.name: getattr(self, _RUN_SECTION_KEYS.get(f.name, f.name)) for f in dataclasses.fields(RunConfig)}
+        values.update((name, value) for name, value in overrides.items() if value is not None)
+        return RunConfig(**values)
 
 
 @dataclass
@@ -76,6 +86,11 @@ class CliConfig:
     device_profile: DeviceProfile = field(default_factory=DeviceProfile)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     report: ReportSection = field(default_factory=ReportSection)
+
+    def dispatch_settings(self) -> DispatchSettings:
+        """The coordinator's settings: the agent's device type and batch sizes, the run section's poll."""
+        agent = self.agent.config
+        return DispatchSettings(agent.device_type, agent.batch_sizes, self.run.poll_interval_ms / 1000.0)
 
 
 def _mapping(section: str, doc) -> dict:

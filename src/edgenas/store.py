@@ -45,7 +45,6 @@ from importlib import resources
 from .optimizer import LOSS_WEIGHT
 from .search_space import DocumentError, decode, validate
 
-SCHEMA_VERSION = 2
 SCORE_TOLERANCE = 1e-9
 
 
@@ -172,6 +171,7 @@ MIGRATIONS = (
         ),
     ),
 )
+SCHEMA_VERSION = len(MIGRATIONS) + 1
 
 
 def _schema_statements() -> dict[str, str]:

@@ -136,6 +136,18 @@ def test_agent_once_serves_a_detached_baseline(tmp_path, monkeypatch, capsys):
     assert code == 0 and out.splitlines()[1].startswith("0        408.8178")
 
 
+def _written_rows(store) -> list[int]:
+    """The run_metadata and network_architecture row counts of the store file."""
+    conn = sqlite3.connect(store)
+    try:
+        return [
+            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("run_metadata", "network_architecture")
+        ]
+    finally:
+        conn.close()
+
+
 @pytest.mark.parametrize("command", ["run", "baseline"])
 def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypatch, capsys, command):
     monkeypatch.delenv("EDGENAS_STORE", raising=False)
@@ -147,15 +159,7 @@ def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypa
     capsys.readouterr()
     assert main([*argv, command]) == 2
     assert capsys.readouterr() == ("", "error: score_batch_size 3 not in measured batch sizes (1, 2, 4, 8)\n")
-    conn = sqlite3.connect(store)
-    try:
-        rows = [
-            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in ("run_metadata", "network_architecture")
-        ]
-    finally:
-        conn.close()
-    assert rows == [0, 0]
+    assert _written_rows(store) == [0, 0]
 
 
 @pytest.mark.parametrize("command", ["run", "baseline"])
@@ -179,15 +183,21 @@ def test_bad_time_setting_refused_before_any_write(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert main(["--config", str(config), "--store", str(store), command]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    conn = sqlite3.connect(store)
-    try:
-        rows = [
-            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in ("run_metadata", "network_architecture")
-        ]
-    finally:
-        conn.close()
-    assert rows == [0, 0]
+    assert _written_rows(store) == [0, 0]
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_run_section_refused_by_run_is_refused_by_baseline(tmp_path, monkeypatch, capsys, command):
+    """The baseline builds its RunConfig from the run section, as a run without flags does."""
+    monkeypatch.delenv("EDGENAS_STORE", raising=False)
+    store = tmp_path / "cli.sqlite"
+    config = tmp_path / "samples4.yaml"
+    config.write_text("run:\n  samples: 4\n")
+    assert main(["--store", str(store), "init-store"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "--store", str(store), command]) == 2
+    assert capsys.readouterr() == ("", "error: total_evaluations must be >= population_size\n")
+    assert _written_rows(store) == [0, 0]
 
 
 def test_non_sqlite_store_is_one_error_line(tmp_path, monkeypatch, capsys):

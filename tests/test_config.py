@@ -7,6 +7,7 @@ import pytest
 from edgenas.cli import _make_backend, main
 from edgenas.config import DEFAULT_STORE_PATH, ENV_STORE, ConfigError, load_config
 from edgenas.coordinator import DispatchSettings
+from edgenas.optimizer import RunConfig
 from edgenas.search_space import default_config, to_document_dict
 
 
@@ -141,7 +142,24 @@ def test_constructor_checks_name_the_section(write_config):
 def test_zero_poll_intervals_are_legal(write_config):
     cfg = load_config(write_config("run: {poll_interval_ms: 0}\nagent: {poll_interval_ms: 0}\n"))
     assert cfg.agent.config.poll_interval_ms == 0
-    assert DispatchSettings(poll_interval_s=cfg.run.poll_interval_ms / 1000.0).poll_interval_s == 0.0
+    assert cfg.dispatch_settings().poll_interval_s == 0.0
+
+
+def test_run_section_builds_the_run_config(write_config):
+    assert load_config(None).run.run_config() == RunConfig()
+    cfg = load_config(write_config(
+        "run: {population: 2, samples: 6, seed: 5, epochs: 3, score_batch_size: 2, measurement_timeout_s: 9}\n"
+    ))
+    assert cfg.run.run_config() == RunConfig(2, 6, 5, 3, 2, 9.0)
+    assert cfg.run.run_config(total_evaluations=4, seed=None, epochs=1) == RunConfig(2, 4, 5, 1, 2, 9.0)
+
+
+def test_dispatch_settings_take_the_agent_device_and_the_run_poll(write_config):
+    assert load_config(None).dispatch_settings() == DispatchSettings()
+    cfg = load_config(write_config(
+        "run: {poll_interval_ms: 20}\nagent: {device_type: jetson, batch_sizes: [1, 4], poll_interval_ms: 7}\n"
+    ), device_type="orin")
+    assert cfg.dispatch_settings() == DispatchSettings("orin", (1, 4), 0.02)
 
 
 def test_planted_optimum(write_config):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -283,6 +285,38 @@ def test_agent_sleeps_after_a_pass_that_measured(store, quiet_profile):
     (_, first_returned), (second_started, _) = stamping.polls
     # Event.wait never returns before its timeout, so no upper bound is needed
     assert second_started - first_returned >= 0.3
+
+
+MEMORY_PASSES = 8
+ARCHITECTURES_PER_PASS = 50
+# from the 4th reading to the 8th, 12 runs grew 3-7 kB; an agent that kept every polled record grew 137 kB
+MEMORY_GROWTH_BOUND_B = 16_000
+
+
+def _traced_memory_after_passes(store) -> list[int]:
+    """Traced bytes after each once=True pass over ARCHITECTURES_PER_PASS newly posted architectures."""
+    rng = random.Random(7)
+    documents = [encode(sample(rng)) for _ in range(MEMORY_PASSES * ARCHITECTURES_PER_PASS)]
+    config = AgentConfig(batch_sizes=(1,), num_warmup=0, num_timed_runs=1)
+    backend = SimulatedBackend(DeviceProfile())
+    readings = []
+    tracemalloc.start(1)
+    try:
+        for start in range(0, len(documents), ARCHITECTURES_PER_PASS):
+            for lineage, document in enumerate(documents[start:start + ARCHITECTURES_PER_PASS]):
+                store.insert_architecture(Role.OPTIMIZER, ArchitectureRecord("run", lineage, document, [DEVICE]))
+            assert run_agent_loop(config, store, threading.Event(), backend, once=True) == ARCHITECTURES_PER_PASS
+            gc.collect()
+            readings.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return readings
+
+
+def test_agent_memory_stays_level_over_repeated_passes(store):
+    """A long-running agent keeps nothing per architecture: its memory levels off as the store grows."""
+    readings = _traced_memory_after_passes(store)
+    assert readings[-1] - readings[3] < MEMORY_GROWTH_BOUND_B, readings
 
 
 # -- external backend protocol -------------------------------------------------

@@ -227,6 +227,7 @@ def test_violation_messages_are_pinned():
         "learning_rate: 1 not in [1e-05, 1.0]",
         "lr_gamma: 1 not in open (0.1, 0.9)",
     ]
+    assert validate(_bad_spec(lr_gamma=0.1)) == ["lr_gamma: 0.1 not in open (0.1, 0.9)"]  # both bounds are open
     assert validate(default_config(), "strict") == ["embed_dim: 96 not in [24, 48]", "depths[2]: 6 not in [1, 2, 4]"]
     mixed = _bad_spec(patch_size=(2, 4, 4), embed_dim=96, depths=(2, 2, 6, 2), mlp_ratio=5, lr_gamma=0.0)
     assert validate(mixed, "baseline") == ["mlp_ratio: 5 not in [1, 2, 3, 4]", "lr_gamma: 0.0 not in open (0.1, 0.9)"]
