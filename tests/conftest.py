@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
 import sqlite3
 from pathlib import Path
 
 import pytest
 
+import edgenas
 from edgenas.cost_model import DeviceProfile, SurrogateConfig, synthetic_latency, synthetic_val_loss
 from edgenas.optimizer import ScoreBreakdown, derive_seed
 from edgenas.store import Store
@@ -55,6 +57,12 @@ def brute_force_front(points):
         if not dominated:
             front.append(pid_i)
     return front
+
+
+def helper_env() -> dict[str, str]:
+    """The environment for a helper script in its own process: the tested edgenas first on PYTHONPATH."""
+    src = str(Path(edgenas.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def add_failing_trigger(path, table: str) -> None:

@@ -10,14 +10,13 @@ is not covered here.
 
 from __future__ import annotations
 
-import os
 import random
 import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
-import edgenas
+from conftest import helper_env
 from crashing_agent import CONFIG, KILLED_EXIT
 from edgenas.search_space import encode, sample
 from edgenas.store import ArchitectureRecord, Role, Store
@@ -27,10 +26,8 @@ ARCHITECTURES = 3
 
 
 def _agent_pass(path: str, kill_at: int) -> subprocess.CompletedProcess:
-    src = str(Path(edgenas.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, str(HELPER), path, str(kill_at)], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, str(HELPER), path, str(kill_at)], capture_output=True, text=True, env=helper_env(), timeout=60
     )
 
 

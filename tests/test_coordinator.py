@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -12,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-import edgenas
 from agent_process import TimedBackend
+from conftest import helper_env
 from edgenas.coordinator import (
     BASELINE_RUN_ID,
     DispatchSettings,
@@ -208,12 +207,10 @@ def _timed_agent(store: Store, where: str, call_s: float):
             thread.join(10.0)
         assert not thread.is_alive()
         return
-    src = str(Path(edgenas.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     helper = Path(__file__).with_name("agent_process.py")
     proc = subprocess.Popen(
         [sys.executable, str(helper), store.path, repr(call_s)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=helper_env(),
     )
     durations: list[float] = []
     try:
