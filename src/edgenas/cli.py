@@ -10,7 +10,8 @@ All numeric output uses fixed formats: scores and losses with 4 decimals,
 latency with 2 decimals plus "ms".
 
 Exit codes: 0 done; 1 the command failed (store, run ids, evaluations, an
-output file could not be written); 2 a bad command line or configuration.
+output file could not be written, an embedded agent did not stop); 2 a bad
+command line or configuration.
 Only main prints "error: ...".
 """
 
@@ -28,7 +29,7 @@ import threading
 from . import coordinator, edge_agent
 from .config import CliConfig, load_config
 from .coordinator import ExternalTrainer, SimulatedTrainer
-from .edge_agent import AgentConfig, ExternalBackend, SimulatedBackend
+from .edge_agent import ExternalBackend, SimulatedBackend
 from .optimizer import EvaluationFailed, pareto_front, top_decile_medians, write_history_csv
 from .search_space import FIELDS, decode
 from .store import Store, StoreError
@@ -123,33 +124,15 @@ def _make_backend(cfg: CliConfig):
     return SimulatedBackend(cfg.device_profile, seed=cfg.agent.seed, call_duration_s=cfg.agent.call_duration_s)
 
 
-@contextlib.contextmanager
-def _embedded_agent(store: Store, agent_config: AgentConfig, backend):
-    """In-process agent thread for runs with the simulated trainer; a hung agent fails a successful job."""
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=edge_agent.run_agent_loop,
-        args=(agent_config, store, stop, backend),
-        name="embedded-agent",
-        daemon=True,
-    )
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=AGENT_JOIN_TIMEOUT_S)
-    if thread.is_alive():
-        raise CommandError(f"embedded agent did not stop within {AGENT_JOIN_TIMEOUT_S} s")
-
-
 def _dispatch(args: argparse.Namespace, cfg: CliConfig, job, **kwargs):
     """job(store=, trainer=, settings=, **kwargs) on the configured store, with the embedded agent unless detached."""
     settings = cfg.dispatch_settings()
     with Store(cfg.store_path) as store:
         # an external trainer means a real edge agent serves the device
         embed = not (cfg.run.trainer_command or args.no_embedded_agent)
-        with _embedded_agent(store, cfg.agent.config, _make_backend(cfg)) if embed else contextlib.nullcontext():
+        with edge_agent.embedded_agent(
+            cfg.agent.config, store, _make_backend(cfg), AGENT_JOIN_TIMEOUT_S
+        ) if embed else contextlib.nullcontext():
             return job(store=store, trainer=_make_trainer(cfg), settings=settings, **kwargs)
 
 

@@ -36,8 +36,13 @@ class ConfigError(ValueError):
     pass
 
 
-# the RunConfig fields whose run-section key has another name
-_RUN_SECTION_KEYS = {"population_size": "population", "total_evaluations": "samples"}
+# the RunConfig and DispatchSettings fields whose run-section key has another name
+_RUN_SECTION_KEYS = dict(population_size="population", total_evaluations="samples", poll_interval_s="poll_interval_ms")
+
+
+def _run_refusal(exc: ValueError) -> ConfigError:
+    """A RunConfig or DispatchSettings refusal, naming the run-section keys."""
+    return ConfigError("run: " + " ".join(_RUN_SECTION_KEYS.get(word, word) for word in str(exc).split(" ")))
 
 
 @dataclass
@@ -56,7 +61,10 @@ class RunSection:
         """The section as a RunConfig; overrides (by RunConfig field) that are not None replace its values."""
         values = {f.name: getattr(self, _RUN_SECTION_KEYS.get(f.name, f.name)) for f in dataclasses.fields(RunConfig)}
         values.update((name, value) for name, value in overrides.items() if value is not None)
-        return RunConfig(**values)
+        try:
+            return RunConfig(**values)
+        except ValueError as exc:
+            raise _run_refusal(exc) from exc
 
 
 @dataclass
@@ -90,7 +98,10 @@ class CliConfig:
     def dispatch_settings(self) -> DispatchSettings:
         """The coordinator's settings: the agent's device type and batch sizes, the run section's poll."""
         agent = self.agent.config
-        return DispatchSettings(agent.device_type, agent.batch_sizes, self.run.poll_interval_ms / 1000.0)
+        try:
+            return DispatchSettings(agent.device_type, agent.batch_sizes, self.run.poll_interval_ms / 1000.0)
+        except ValueError as exc:
+            raise _run_refusal(exc) from exc
 
 
 def _mapping(section: str, doc) -> dict:

@@ -4,11 +4,13 @@ Polls the store for unmeasured architectures matching its device type,
 runs the warmup + timed-runs protocol at every configured batch size
 through a pluggable backend, and reports one measurement row per batch
 size. The loop is sequential by design: latency measurement needs an
-otherwise-idle device.
+otherwise-idle device. `edgenas agent` runs the loop as its own process;
+embedded_agent hosts it on a thread inside another command.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import random
@@ -86,13 +88,13 @@ def run_command(command: list[str], payload: str, timeout_s: float, label: str, 
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
-    One noise stream, that of the last (spec, batch size), is kept with the
-    spec's memory figure: it is seeded from that pair and restarts whenever
-    the pair changes, so reported values do not depend on the order the
-    agent drains its queue and memory does not grow with the specs seen.
-    It does not restart when the pair repeats: with a single batch size, a
-    spec measured twice in a row (two lineages posting it) continues the
-    first measurement's stream and reads another mean.
+    One noise stream, that of the last (spec object, batch size), is kept
+    with the spec's memory figure: it is seeded from the spec's value and
+    the batch size, and restarts whenever another spec object or batch size
+    comes in. measure() passes one object through all calls of an
+    architecture, so each measurement starts its own stream: reported
+    values do not depend on the order the agent drains its queue, and
+    memory does not grow with the specs seen.
     call_duration_s stalls each call to emulate real measurement time.
     """
 
@@ -105,7 +107,7 @@ class SimulatedBackend:
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample:
         if self.call_duration_s > 0:
             time.sleep(self.call_duration_s)
-        if self._stream is None or self._stream[:2] != (spec, batch_size):
+        if self._stream is None or self._stream[0] is not spec or self._stream[1] != batch_size:
             key = json.dumps(to_document_dict(spec), sort_keys=True)
             # synthetic placeholder for the auxiliary memory metric
             memory_mb = cost_model.param_count(spec) * 4 / 1e6
@@ -254,3 +256,22 @@ def run_agent_loop(
             return processed
         stop_signal.wait(config.poll_interval_ms / 1000.0)
     return processed
+
+
+@contextlib.contextmanager
+def embedded_agent(config: AgentConfig, store: Store, backend: MeasurementBackend, join_timeout_s: float):
+    """run_agent_loop on a daemon thread while the block runs; leaving the block stops and joins it.
+
+    An agent still running join_timeout_s after the stop raises TimeoutError, unless the block raised.
+    """
+    stop = threading.Event()
+    args = (config, store, stop, backend)
+    thread = threading.Thread(target=run_agent_loop, args=args, name="embedded-agent", daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(join_timeout_s)
+    if thread.is_alive():
+        raise TimeoutError(f"embedded agent did not stop within {join_timeout_s} s")

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 import time
 
 from edgenas.cost_model import DeviceProfile
-from edgenas.edge_agent import AgentConfig, SimulatedBackend, run_agent_loop
+from edgenas.edge_agent import AgentConfig, SimulatedBackend, embedded_agent
 from edgenas.store import Store
 
 JOIN_TIMEOUT_S = 5.0
@@ -39,16 +38,12 @@ class TimedBackend:
 def main() -> int:
     store_path, call_s = sys.argv[1], float(sys.argv[2])
     backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
-    stop = threading.Event()
     with Store(store_path) as store:
-        args = (AgentConfig(poll_interval_ms=1), store, stop, backend)
-        loop = threading.Thread(target=run_agent_loop, args=args, daemon=True)
-        loop.start()
-        print("ready", flush=True)
-        sys.stdin.read()
-        stop.set()
-        loop.join(JOIN_TIMEOUT_S)
-        if loop.is_alive():
+        try:
+            with embedded_agent(AgentConfig(poll_interval_ms=1), store, backend, JOIN_TIMEOUT_S):
+                print("ready", flush=True)
+                sys.stdin.read()
+        except TimeoutError:
             return 3
     print(json.dumps(backend.durations), flush=True)
     return 0

@@ -166,9 +166,9 @@ def test_unmeasured_score_batch_size_refused_before_any_write(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("run:\n  poll_interval_ms: -5\n", "poll_interval_s must be >= 0"),
-        ("run:\n  measurement_timeout_s: -1\n", "measurement_timeout_s must be > 0"),
-        ("run:\n  measurement_timeout_s: 0\n", "measurement_timeout_s must be > 0"),
+        ("run:\n  poll_interval_ms: -5\n", "run: poll_interval_ms must be >= 0"),
+        ("run:\n  measurement_timeout_s: -1\n", "run: measurement_timeout_s must be > 0"),
+        ("run:\n  measurement_timeout_s: 0\n", "run: measurement_timeout_s must be > 0"),
         ("agent:\n  poll_interval_ms: -5\n", "agent: poll_interval_ms must be >= 0"),
         ("agent:\n  measurement_timeout_s: -1\n", "agent: measurement_timeout_s must be > 0"),
     ],
@@ -196,7 +196,7 @@ def test_run_section_refused_by_run_is_refused_by_baseline(tmp_path, monkeypatch
     assert main(["--store", str(store), "init-store"]) == 0
     capsys.readouterr()
     assert main(["--config", str(config), "--store", str(store), command]) == 2
-    assert capsys.readouterr() == ("", "error: total_evaluations must be >= population_size\n")
+    assert capsys.readouterr() == ("", "error: run: samples must be >= population\n")
     assert _written_rows(store) == [0, 0]
 
 

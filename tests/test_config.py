@@ -162,6 +162,14 @@ def test_dispatch_settings_take_the_agent_device_and_the_run_poll(write_config):
     assert cfg.dispatch_settings() == DispatchSettings("orin", (1, 4), 0.02)
 
 
+def test_refused_overrides_name_the_run_section_key():
+    """--population and --samples override run.population and run.samples, so a refusal names those keys."""
+    with pytest.raises(ConfigError, match=r"^run: population must be >= 1$"):
+        load_config(None).run.run_config(population_size=0)
+    with pytest.raises(ConfigError, match=r"^run: samples must be >= population$"):
+        load_config(None).run.run_config(population_size=2, total_evaluations=1)
+
+
 def test_planted_optimum(write_config):
     planted = {**to_document_dict(default_config()), "embed_dim": 24, "depths": [2, 2, 4, 2]}
     cfg = load_config(write_config(f"surrogate: {{planted_optimum: {planted}}}\n"))

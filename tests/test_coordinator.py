@@ -23,7 +23,7 @@ from edgenas.coordinator import (
     run_nas,
 )
 from edgenas.cost_model import DeviceProfile
-from edgenas.edge_agent import AgentConfig, SimulatedBackend, run_agent_loop
+from edgenas.edge_agent import AgentConfig, SimulatedBackend, embedded_agent
 from edgenas.optimizer import RunConfig, derive_seed
 from edgenas.search_space import default_config
 from edgenas.store import Store, StoreError
@@ -69,18 +69,10 @@ FAST = DispatchSettings(poll_interval_s=0.001)
 
 @contextlib.contextmanager
 def _agent(store: Store, call_duration_s: float = 0.0, device_type: str = AgentConfig.device_type):
-    """run_agent_loop on a thread, as `edgenas run` embeds it."""
-    stop = threading.Event()
+    """The agent on a thread, as `edgenas run` embeds it."""
     backend = SimulatedBackend(DeviceProfile(), call_duration_s=call_duration_s)
-    config = AgentConfig(device_type=device_type, poll_interval_ms=1)
-    thread = threading.Thread(target=run_agent_loop, args=(config, store, stop, backend), daemon=True)
-    thread.start()
-    try:
+    with embedded_agent(AgentConfig(device_type=device_type, poll_interval_ms=1), store, backend, 10.0):
         yield
-    finally:
-        stop.set()
-        thread.join(10.0)
-    assert not thread.is_alive()
 
 
 class _FailingTrainer(SimulatedTrainer):
@@ -196,16 +188,8 @@ def _timed_agent(store: Store, where: str, call_s: float):
     """An agent on a thread or in its own process; yields the list its backend call times land in."""
     if where == "thread":
         backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
-        stop = threading.Event()
-        args = (AgentConfig(poll_interval_ms=1), store, stop, backend)
-        thread = threading.Thread(target=run_agent_loop, args=args, daemon=True)
-        thread.start()
-        try:
+        with embedded_agent(AgentConfig(poll_interval_ms=1), store, backend, 10.0):
             yield backend.durations
-        finally:
-            stop.set()
-            thread.join(10.0)
-        assert not thread.is_alive()
         return
     helper = Path(__file__).with_name("agent_process.py")
     proc = subprocess.Popen(

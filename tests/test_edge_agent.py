@@ -19,11 +19,12 @@ from edgenas.edge_agent import (
     ExternalBackend,
     InferenceSample,
     SimulatedBackend,
+    embedded_agent,
     measure,
     run_agent_loop,
 )
 from edgenas.search_space import default_config, encode, sample
-from edgenas.store import ArchitectureRecord, Role
+from edgenas.store import ArchitectureRecord, Role, StoreError
 
 DEVICE = "sim-edge"
 
@@ -405,11 +406,6 @@ def test_simulated_backend_repeats_a_spec_measured_again():
     assert [r.latency_ms_std for r in first] == [r.latency_ms_std for r in again]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="SimulatedBackend keeps the noise stream of the last (spec, batch size) across architectures; "
-    "one backend call per batch size (ROADMAP item 7) restarts it for every measurement",
-)
 def test_equal_specs_measure_equal_at_one_batch_size(store):
     """Two lineages posting one spec read one latency, as they do with four batch sizes."""
     ids = [_insert_pending(store, lineage) for lineage in range(2)]
@@ -417,3 +413,44 @@ def test_equal_specs_measure_equal_at_one_batch_size(store):
     assert run_agent_loop(AgentConfig(batch_sizes=(1,)), store, threading.Event(), backend, once=True) == 2
     means = [store.get_measurements(arch_id, DEVICE)[0].latency_ms_mean for arch_id in ids]
     assert means[0] == means[1]
+
+
+@pytest.fixture
+def hung_loop(monkeypatch):
+    """run_agent_loop replaced by a loop that ignores its stop event until the test ends."""
+    release = threading.Event()
+    monkeypatch.setattr("edgenas.edge_agent.run_agent_loop", lambda config, store, stop, backend: release.wait())
+    yield
+    release.set()
+    for thread in threading.enumerate():
+        if thread.name == "embedded-agent":
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
+def test_hung_embedded_agent_lets_the_block_error_through(store, quiet_profile, hung_loop):
+    with pytest.raises(StoreError, match="^disk full$"):
+        with embedded_agent(AgentConfig(), store, SimulatedBackend(quiet_profile), 0.05):
+            raise StoreError("disk full")
+
+
+def test_hung_embedded_agent_fails_a_block_that_succeeded(store, quiet_profile, hung_loop):
+    with pytest.raises(TimeoutError, match=r"^embedded agent did not stop within 0\.05 s$"):
+        with embedded_agent(AgentConfig(), store, SimulatedBackend(quiet_profile), 0.05):
+            pass
+
+
+def test_leaving_the_block_stops_a_sleeping_embedded_agent(store, quiet_profile, monkeypatch):
+    polled = threading.Event()
+    original = store.poll_unmeasured
+
+    def poll(*args):
+        records = original(*args)
+        polled.set()
+        return records
+
+    monkeypatch.setattr(store, "poll_unmeasured", poll)
+    with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
+        assert polled.wait(5.0)  # the agent now sleeps its 60 s poll interval
+        started = time.monotonic()
+    assert time.monotonic() - started < 2.0
