@@ -260,10 +260,7 @@ def run_agent_loop(
 
 @contextlib.contextmanager
 def embedded_agent(config: AgentConfig, store: Store, backend: MeasurementBackend, join_timeout_s: float):
-    """run_agent_loop on a daemon thread while the block runs; leaving the block stops and joins it.
-
-    An agent still running join_timeout_s after the stop raises TimeoutError, unless the block raised.
-    """
+    """run_agent_loop on a daemon thread for the block; outliving join_timeout_s fails a block that succeeded."""
     stop = threading.Event()
     args = (config, store, stop, backend)
     thread = threading.Thread(target=run_agent_loop, args=args, name="embedded-agent", daemon=True)
