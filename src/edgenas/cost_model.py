@@ -139,9 +139,15 @@ def synthetic_latency(
     batch_size: int,
     profile: DeviceProfile,
     rng: random.Random,
+    flops: float | None = None,
 ) -> float:
-    """Simulated on-device latency in ms for one forward pass of the batch."""
-    flops = flops_estimate(spec)
+    """Simulated on-device latency in ms for one forward pass of the batch.
+
+    flops is flops_estimate(spec), for a caller that times one spec many
+    times and counts it once; None counts it here.
+    """
+    if flops is None:
+        flops = flops_estimate(spec)
     latency = profile.base_latency_ms + profile.ms_per_gflop * flops * batch_size**profile.batch_efficiency
     if profile.noise_std_ms > 0:
         latency += rng.gauss(0.0, profile.noise_std_ms)

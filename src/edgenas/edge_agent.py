@@ -13,8 +13,8 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import random
-import statistics
 import subprocess
 import threading
 import time
@@ -88,13 +88,15 @@ def run_command(command: list[str], payload: str, timeout_s: float, label: str, 
 class SimulatedBackend:
     """Backend driven by the analytic device model.
 
-    One noise stream, that of the last (spec object, batch size), is kept
-    with the spec's memory figure: it is seeded from the spec's value and
-    the batch size, and restarts whenever another spec object or batch size
-    comes in. measure() passes one object through all calls of an
-    architecture, so each measurement starts its own stream: reported
-    values do not depend on the order the agent drains its queue, and
-    memory does not grow with the specs seen.
+    The figures of the last spec object (its noise key, memory figure and
+    FLOPs count) are derived once and kept until another spec object comes
+    in. One noise stream, that of the last (spec object, batch size), is
+    kept beside them: it is seeded from the spec's value and the batch
+    size, and restarts whenever another spec object or batch size comes
+    in. measure() passes one object through all calls of an architecture,
+    so each measurement starts its own stream: reported values do not
+    depend on the order the agent drains its queue, and memory does not
+    grow with the specs seen.
     call_duration_s stalls each call to emulate real measurement time.
     """
 
@@ -102,18 +104,23 @@ class SimulatedBackend:
         self.profile = profile
         self.seed = seed
         self.call_duration_s = call_duration_s
-        self._stream: tuple[HyperparamSpec, int, random.Random, float] | None = None
+        self._figures: tuple[HyperparamSpec, str, float, float] | None = None
+        self._stream: tuple[int, random.Random] | None = None
 
     def time_inference(self, spec: HyperparamSpec, batch_size: int) -> InferenceSample:
         if self.call_duration_s > 0:
             time.sleep(self.call_duration_s)
-        if self._stream is None or self._stream[0] is not spec or self._stream[1] != batch_size:
+        if self._figures is None or self._figures[0] is not spec:
             key = json.dumps(to_document_dict(spec), sort_keys=True)
             # synthetic placeholder for the auxiliary memory metric
             memory_mb = cost_model.param_count(spec) * 4 / 1e6
-            self._stream = (spec, batch_size, random.Random(derive_seed(self.seed, key, batch_size)), memory_mb)
-        latency = cost_model.synthetic_latency(spec, batch_size, self.profile, self._stream[2])
-        return InferenceSample(latency_ms=latency, memory_mb=self._stream[3], cpu_util=12.5, gpu_util=62.5)
+            self._figures = (spec, key, memory_mb, cost_model.flops_estimate(spec))
+            self._stream = None
+        _, key, memory_mb, flops = self._figures
+        if self._stream is None or self._stream[0] != batch_size:
+            self._stream = (batch_size, random.Random(derive_seed(self.seed, key, batch_size)))
+        latency = cost_model.synthetic_latency(spec, batch_size, self.profile, self._stream[1], flops)
+        return InferenceSample(latency_ms=latency, memory_mb=memory_mb, cpu_util=12.5, gpu_util=62.5)
 
 
 class ExternalBackend:
@@ -158,6 +165,38 @@ class ExternalBackend:
             raise BackendError(f"unparseable measurement output: {text.splitlines()[0]!r}") from exc
 
 
+def _moments(values: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation of finite values, each correctly rounded.
+
+    Every float is an integer over a power of two, so over the largest
+    denominator the sums are exact integers and the mean is one correctly
+    rounded int / int division. The standard deviation is the square root
+    of (k*sum(x^2) - sum(x)^2) / (k*(k-1)), rounded once as statistics
+    rounds it from Python 3.11: an integer square root with 2*53+3 bits,
+    rounded to odd, then one division. Both equal statistics.mean and
+    statistics.stdev bit for bit there. One value gives std 0.0. A NaN or
+    infinity has no integer ratio and raises ValueError or OverflowError.
+    """
+    k = len(values)
+    ratios = [x.as_integer_ratio() for x in values]
+    denominator = max(d for _, d in ratios)
+    nums = [n * (denominator // d) for n, d in ratios]
+    total = sum(nums)
+    mean = total / (k * denominator)
+    if k == 1:
+        return mean, 0.0
+    n = k * sum(x * x for x in nums) - total * total
+    m = k * (k - 1) * denominator * denominator
+    shift = (n.bit_length() - m.bit_length() - (2 * 53 + 3)) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        n <<= -2 * shift
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd: an inexact root gets its last bit set
+    return mean, float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def measure(
     spec: HyperparamSpec,
     config: AgentConfig,
@@ -166,8 +205,9 @@ def measure(
 ) -> list[EdgeMeasurement]:
     """Warmup + timed runs per batch size; one row per successful batch size.
 
-    A backend failure marks only that batch size as failed; the others
-    proceed. Warmup calls never contribute to the reported statistics.
+    A backend failure, or a timed sample that is not finite, marks only
+    that batch size as failed; the others proceed. Warmup calls never
+    contribute to the reported statistics.
     """
     rows: list[EdgeMeasurement] = []
     for batch_size in config.batch_sizes:
@@ -175,17 +215,18 @@ def measure(
             for _ in range(config.num_warmup):
                 backend.time_inference(spec, batch_size)
             samples = [backend.time_inference(spec, batch_size) for _ in range(config.num_timed_runs)]
+            # exact moments: a constant backend reports the identical mean
+            # for any num_timed_runs
+            mean, std = _moments([s.latency_ms for s in samples])
+            memory_mb = _moments([s.memory_mb for s in samples])[0]
+            cpu_util = _moments([s.cpu_util for s in samples])[0]
+            gpu_util = _moments([s.gpu_util for s in samples])[0]
         except Exception as exc:
             logger.warning(
                 "measurement failed for architecture %s batch_size %d: %s",
                 architecture_id, batch_size, exc,
             )
             continue
-        latencies = [s.latency_ms for s in samples]
-        # statistics.mean is exact (rational arithmetic), so a constant
-        # backend reports the identical mean for any num_timed_runs
-        mean = statistics.mean(latencies)
-        std = statistics.stdev(latencies) if len(latencies) > 1 else 0.0
         rows.append(
             EdgeMeasurement(
                 architecture_id=architecture_id,
@@ -195,9 +236,9 @@ def measure(
                 latency_ms_std=std,
                 num_runs=config.num_timed_runs,
                 num_warmup=config.num_warmup,
-                memory_mb=statistics.mean(s.memory_mb for s in samples),
-                cpu_util=statistics.mean(s.cpu_util for s in samples),
-                gpu_util=statistics.mean(s.gpu_util for s in samples),
+                memory_mb=memory_mb,
+                cpu_util=cpu_util,
+                gpu_util=gpu_util,
             )
         )
     return rows

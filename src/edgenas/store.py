@@ -155,6 +155,7 @@ _MEASUREMENT_INSERT = _insert_sql(
 )
 _RESULT_INSERT = _insert_sql("benchmark_result", BenchmarkResult)
 _RUN_INSERT = _insert_sql("run_metadata", RunMetadata, ("run_id",))
+_MEASUREMENT_COLUMNS = ", ".join(f.name for f in dataclasses.fields(EdgeMeasurement))
 _RESULT_COLUMNS = ", ".join(f"b.{f.name} AS b_{f.name}" for f in dataclasses.fields(BenchmarkResult))
 
 
@@ -374,11 +375,12 @@ class Store:
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
         with self._transaction():
             rows = self._conn.execute(
-                "SELECT * FROM edge_measurement WHERE architecture_id = ? AND device_type = ?"
-                " ORDER BY batch_size ASC",
+                f"SELECT {_MEASUREMENT_COLUMNS} FROM edge_measurement"
+                " WHERE architecture_id = ? AND device_type = ? ORDER BY batch_size ASC",
                 (architecture_id, device_type),
             ).fetchall()
-        return [_from_row(EdgeMeasurement, r) for r in rows]
+        # columns in field order: positional rows skip _from_row's lookups by name
+        return [EdgeMeasurement(*r) for r in rows]
 
     # -- benchmark_result ----------------------------------------------------
 

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 import sqlite3
+import statistics
 import sys
 import threading
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import add_failing_trigger
+from edgenas import cost_model
 from edgenas.cost_model import DeviceProfile, synthetic_latency
 from edgenas.edge_agent import (
     AgentConfig,
@@ -19,6 +24,7 @@ from edgenas.edge_agent import (
     ExternalBackend,
     InferenceSample,
     SimulatedBackend,
+    _moments,
     embedded_agent,
     measure,
     run_agent_loop,
@@ -117,6 +123,53 @@ def test_measure_partial_backend_failure():
     backend = CountingBackend(fail_batches={8})
     rows = measure(default_config(), AgentConfig(), backend, architecture_id=3)
     assert [r.batch_size for r in rows] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("runs", [1, 10])
+def test_measure_non_finite_sample_fails_only_its_batch_size(runs):
+    class NonFiniteBackend:
+        def time_inference(self, spec, batch_size):
+            return InferenceSample(latency_ms={2: math.nan, 4: math.inf}.get(batch_size, 7.0))
+
+    rows = measure(default_config(), AgentConfig(num_timed_runs=runs), NonFiniteBackend())
+    assert [(r.batch_size, r.latency_ms_mean) for r in rows] == [(1, 7.0), (8, 7.0)]
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300)
+_SUBNORMAL = st.floats(min_value=-2.3e-308, max_value=2.3e-308)  # subnormals, zeros and the least normals
+_SAMPLES = st.one_of(
+    st.lists(st.one_of(_FINITE, _SUBNORMAL), min_size=1, max_size=20),
+    st.builds(lambda x, k: [x] * k, st.one_of(_FINITE, _SUBNORMAL), st.integers(1, 20)),
+    # clustered samples of one magnitude, where sum(x^2) and sum(x)^2 nearly cancel
+    st.builds(
+        lambda scale, xs: [x * scale for x in xs],
+        st.sampled_from([1e-300, 1e-150, 1e-3, 1.0, 331.2, 1e150, 1e300]),
+        st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=20),
+    ),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from Python 3.11")
+@settings(max_examples=500, deadline=None)
+@given(_SAMPLES)
+def test_moments_equal_statistics_bit_for_bit(values):
+    expected = (statistics.mean(values), statistics.stdev(values) if len(values) > 1 else 0.0)
+    assert [x.hex() for x in _moments(values)] == [x.hex() for x in expected]
+
+
+def test_measure_derives_flops_and_param_count_once(monkeypatch):
+    calls = {"flops_estimate": 0, "param_count": 0}
+    for name in calls:
+        original = getattr(cost_model, name)
+
+        def counted(spec, name=name, original=original):
+            calls[name] += 1
+            return original(spec)
+
+        monkeypatch.setattr(cost_model, name, counted)
+    rows = measure(sample(random.Random(3)), AgentConfig(), SimulatedBackend(DeviceProfile(noise_std_ms=1.0)))
+    assert len(rows) == 4
+    assert calls == {"flops_estimate": 1, "param_count": 1}
 
 
 def _insert_pending(store, lineage=0, spec=None):
