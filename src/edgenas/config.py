@@ -20,8 +20,6 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-import yaml
-
 from .cost_model import DeviceProfile, SurrogateConfig
 from .coordinator import DispatchSettings
 from .edge_agent import MEASUREMENT_COMMAND_TIMEOUT_S, AgentConfig
@@ -187,6 +185,8 @@ def load_config(path: str | None = None, store_path: str | None = None, device_t
     """Parse the config file (all sections optional); store_path is --store, device_type --device-type."""
     doc: dict = {}
     if path is not None:
+        import yaml  # 1.4 MB of RSS: only a process that reads a file pays for it
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)

@@ -8,7 +8,10 @@ round: a round of P candidates takes about max(train, P x measure), not
 train + P x measure. The coordinator owns no state outside the store: a
 candidate ends as the record run_ea keeps of it, scored or failed with
 its EvaluationFailed, and concurrent dispatches serialize only through
-store transactions.
+store transactions. A candidate waiting for its measurement watches its
+architecture on the store's wakeups, so a measurement written through the
+same handle (an embedded agent) wakes it at once; the poll interval
+bounds the wait only for an agent in another process.
 """
 
 from __future__ import annotations
@@ -113,8 +116,13 @@ def dispatch_candidate(
     while the trainer runs. It measures sequentially in post order, so the
     k-th candidate of a round also waits for the k-1 posted before it, and
     the round takes about max(train, P x measure) for population P, not
-    their sum. A failed trainer raises EvaluationFailed("trainer_failed"),
-    a measurement set still incomplete after measurement_timeout_s raises
+    their sum. After training, the candidate watches its architecture on
+    store.wakeups until it returns: each measurement of it written through
+    this handle wakes the wait, so it reads at most once plus once per
+    batch size. A wait that no such write ends (an agent in another
+    process) reads again after settings.poll_interval_s. A failed trainer
+    raises EvaluationFailed("trainer_failed"), a measurement set still
+    incomplete after measurement_timeout_s raises
     EvaluationFailed("measurement_timeout").
     """
     started = time.perf_counter()
@@ -135,17 +143,19 @@ def dispatch_candidate(
 
     needed = set(settings.batch_sizes)
     deadline = started + run_config.measurement_timeout_s
-    while True:
-        by_batch = {m.batch_size: m for m in store.get_measurements(architecture_id, settings.device_type)}
-        if needed <= by_batch.keys():
-            break
-        if time.perf_counter() >= deadline:
-            logger.warning(
-                "measurement timeout for architecture %s after %.1fs", architecture_id,
-                run_config.measurement_timeout_s,
-            )
-            raise EvaluationFailed("measurement_timeout")
-        time.sleep(settings.poll_interval_s)
+    with store.wakeups.watch(architecture_id) as measured:
+        while True:
+            measured.clear()  # before the read: a measurement committed after it sets the event again
+            by_batch = {m.batch_size: m for m in store.get_measurements(architecture_id, settings.device_type)}
+            if needed <= by_batch.keys():
+                break
+            if time.perf_counter() >= deadline:
+                logger.warning(
+                    "measurement timeout for architecture %s after %.1fs", architecture_id,
+                    run_config.measurement_timeout_s,
+                )
+                raise EvaluationFailed("measurement_timeout")
+            measured.wait(settings.poll_interval_s)
 
     inference_time_ms = by_batch[run_config.score_batch_size].latency_ms_mean
     breakdown = ScoreBreakdown.from_losses(val_loss, inference_time_ms, test_loss)

@@ -5,7 +5,11 @@ runs the warmup + timed-runs protocol at every configured batch size
 through a pluggable backend, and reports one measurement row per batch
 size. The loop is sequential by design: latency measurement needs an
 otherwise-idle device. `edgenas agent` runs the loop as its own process;
-embedded_agent hosts it on a thread inside another command.
+embedded_agent hosts it on a thread inside another command. Between
+passes the loop waits on its store's wakeups, so a post through the same
+handle wakes it at once; poll_interval_ms bounds the wait only for posts
+from another process. embedded_agent wakes the loop when its block ends;
+a caller that only sets its own stop event waits up to one poll interval.
 """
 
 from __future__ import annotations
@@ -254,7 +258,11 @@ def run_agent_loop(
     """Poll, measure and report in passes until stop_signal.
 
     A pass measures every unmeasured architecture one poll returns, then
-    sleeps poll_interval_ms; with once, the call returns after one pass.
+    waits until store.wakeups counts a post newer than the last it saw
+    before that poll, for at most poll_interval_ms; with once, the call
+    returns after one pass. Its own measurements never wake it. Setting
+    stop_signal ends a wait only at its timeout, unless the setter then
+    calls store.wakeups.interrupt(), as embedded_agent does.
     A partly measured architecture is still unmeasured, so the next pass
     measures it again. Undecodable and out-of-range spec documents are
     skipped alike: logged once, never measured. Store connectivity errors
@@ -264,7 +272,9 @@ def run_agent_loop(
     skipped: set[int] = set()
     processed = 0
     backoff = BACKOFF_INITIAL_S
+    wakeups = store.wakeups
     while not stop_signal.is_set():
+        seen = wakeups.posts  # read before the poll: a post it misses wakes the wait below
         try:
             records = store.poll_unmeasured(Role.EDGE_AGENT, config.device_type, config.batch_sizes)
             backoff = BACKOFF_INITIAL_S
@@ -295,7 +305,7 @@ def run_agent_loop(
                 return processed
         if once:
             return processed
-        stop_signal.wait(config.poll_interval_ms / 1000.0)
+        wakeups.wait_for_post(seen, config.poll_interval_ms / 1000.0, stop_signal)
     return processed
 
 
@@ -310,6 +320,7 @@ def embedded_agent(config: AgentConfig, store: Store, backend: MeasurementBacken
         yield
     finally:
         stop.set()
+        store.wakeups.interrupt()
         thread.join(join_timeout_s)
     if thread.is_alive():
         raise TimeoutError(f"embedded agent did not stop within {join_timeout_s} s")

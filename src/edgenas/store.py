@@ -26,6 +26,12 @@ reads, and still leaves out complete architectures.
 Every public operation executes as one transaction and raises only
 StoreError subclasses; a handle is safe to share across threads. Opening
 an older store upgrades it through MIGRATIONS in one transaction.
+A handle's wakeups (Wakeups) signal its own writes to its other threads:
+a post wakes the agents waiting for work, and a measurement wakes the
+candidates that watch its architecture. Each signal fires after its
+transaction commits, outside the store lock. A write through another
+handle or process signals nothing, so a waiter's poll interval still
+bounds the wait across processes.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import json
 import os
 import re
@@ -175,8 +182,9 @@ MIGRATIONS = (
 SCHEMA_VERSION = len(MIGRATIONS) + 1
 
 
+@functools.cache  # every store of a process lays down the same text: parse it once
 def _schema_statements() -> dict[str, str]:
-    """schema.sql's statements, keyed by the name of the object each creates."""
+    """schema.sql's statements, keyed by the name of the object each creates; callers must not mutate it."""
     text = resources.files("edgenas").joinpath("schema.sql").read_text(encoding="utf-8")
     statements, pending = {}, ""
     for line in text.splitlines(keepends=True):  # a trigger body holds ';' too
@@ -198,6 +206,70 @@ def _upgrade_statements(version: int) -> list[str]:
     return upgrade
 
 
+class Wakeups:
+    """In-process signals of one handle's writes, so that a waiter wakes on a write instead of a poll tick.
+
+    A post (insert_architecture) bumps a counter under a Condition that
+    agents wait on. A measurement (insert_measurement) sets the Event of
+    each watcher of its architecture, and only those. Each signal fires
+    after its transaction commits and outside the store lock, so a woken
+    reader sees the write. A write through another handle or process
+    signals nothing here: a waiter's timeout, its poll interval, bounds
+    the wait for those.
+    """
+
+    def __init__(self):
+        self._posted = threading.Condition(threading.Lock())
+        self._posts = 0
+        self._watch_lock = threading.Lock()
+        self._watchers: dict[int, list[threading.Event]] = {}
+
+    @property
+    def posts(self) -> int:
+        """The number of posts so far; read it before a poll, then wait_for_post beyond it."""
+        return self._posts
+
+    def posted(self) -> None:
+        with self._posted:
+            self._posts += 1
+            self._posted.notify_all()
+
+    def wait_for_post(self, seen: int, timeout_s: float, stop: threading.Event) -> None:
+        """Block until a post beyond seen, until stop is set and interrupt is called, or for timeout_s."""
+        with self._posted:
+            self._posted.wait_for(lambda: self._posts != seen or stop.is_set(), timeout_s)
+
+    def interrupt(self) -> None:
+        """Wake every wait_for_post, so that one whose stop is set returns at once."""
+        with self._posted:
+            self._posted.notify_all()
+
+    @contextlib.contextmanager
+    def watch(self, architecture_id: int):
+        """An Event that each measurement of architecture_id sets while the block runs."""
+        event = threading.Event()
+        with self._watch_lock:
+            self._watchers.setdefault(architecture_id, []).append(event)
+        try:
+            yield event
+        finally:
+            with self._watch_lock:
+                events = self._watchers[architecture_id]
+                events.remove(event)
+                if not events:
+                    del self._watchers[architecture_id]
+
+    @property
+    def watched(self) -> int:
+        """The number of architectures watched now."""
+        return len(self._watchers)
+
+    def measured(self, architecture_id: int) -> None:
+        with self._watch_lock:
+            for event in self._watchers.get(architecture_id, ()):
+                event.set()
+
+
 class Store:
     """Thread-safe handle on one store; every operation is atomic, every failure a StoreError.
 
@@ -211,6 +283,7 @@ class Store:
 
     def __init__(self, path: str, create: bool = False):
         self.path = path
+        self.wakeups = Wakeups()
         self._lock = threading.RLock()
         uninitialized = f"store at {path} is not initialized; run init-store first"
         if not (create or os.path.exists(path)):  # only create makes the file
@@ -329,6 +402,7 @@ class Store:
                 self._conn.execute(
                     "UPDATE network_architecture SET device_targets = ? WHERE id = ?", (merged, row["id"])
                 )
+        self.wakeups.posted()
         return row["id"]
 
     def poll_unmeasured(
@@ -371,6 +445,7 @@ class Store:
         self._require(role, Role.EDGE_AGENT, "edge_measurement")
         with self._transaction(measurement.architecture_id):
             self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
+        self.wakeups.measured(measurement.architecture_id)
 
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
         with self._transaction():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 
 import pytest
 
+from conftest import helper_env
 from edgenas.cli import _make_backend, main
 from edgenas.config import DEFAULT_STORE_PATH, ENV_STORE, ConfigError, load_config
 from edgenas.coordinator import DispatchSettings
@@ -33,6 +36,13 @@ def test_store_path_precedence(write_config, monkeypatch, tmp_path, capsys):
     assert main(["--config", path, "--store", str(flag), "init-store"]) == 0
     assert capsys.readouterr().out == f"store at {flag} ready (schema version 2)\n"
     assert flag.exists() and not (tmp_path / "env.sqlite").exists()
+
+
+def test_a_config_without_a_file_does_not_import_yaml():
+    """PyYAML costs 1.4 MB of RSS; a process that reads no config file must not pay it."""
+    script = "import sys; from edgenas.config import load_config; load_config(None); print('yaml' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=helper_env(), check=True)
+    assert result.stdout == "False\n"
 
 
 def test_empty_store_path_means_unset(write_config, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import subprocess
@@ -109,11 +110,12 @@ class _FlakyStore:
 
 
 def _assert_accounted(summary, run_config: RunConfig, store: Store) -> None:
-    """Every evaluation is scored or counted failed, and the store says the same."""
+    """Every evaluation is scored or counted failed, the store says the same, and none is still watched."""
     assert summary.ok_count + sum(summary.failure_counts.values()) == run_config.total_evaluations
     document = json.loads(store.get_run_metadata(summary.run_id).summary_document)
     assert document["failures"] == summary.failure_counts
     assert document["ok_count"] == summary.ok_count
+    assert store.wakeups.watched == 0
 
 
 def test_trainer_failures_are_counted(store):
@@ -155,6 +157,63 @@ def test_store_error_while_scoring_is_counted(store):
     assert summary.failure_counts == {"disk full": 1}
     assert summary.ok_count == 7
     _assert_accounted(summary, run_config, store)
+
+
+# -- wake-ups: an embedded agent at the default 250 ms / 500 ms polls ------------
+
+WAKE_EVALUATIONS = 64
+WAKE_WALL_BOUND_S = 2.0  # 0.3 s here with wake-ups; 4.5 s when every wait ran to its poll tick
+
+
+class _CountingStore:
+    """A store that counts, per architecture, its posts and its get_measurements calls."""
+
+    def __init__(self, store: Store):
+        self._store = store
+        self._lock = threading.Lock()
+        self.posts: collections.Counter[int] = collections.Counter()
+        self.reads: collections.Counter[int] = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def insert_architecture(self, role, record):
+        architecture_id = self._store.insert_architecture(role, record)
+        with self._lock:
+            self.posts[architecture_id] += 1
+        return architecture_id
+
+    def get_measurements(self, architecture_id, device_type):
+        with self._lock:
+            self.reads[architecture_id] += 1
+        return self._store.get_measurements(architecture_id, device_type)
+
+
+@pytest.fixture
+def default_poll_run(store):
+    """(run_nas wall s, counting store, run config) of a run served by an embedded agent at the default polls."""
+    run_config = RunConfig(total_evaluations=WAKE_EVALUATIONS, measurement_timeout_s=30.0)
+    counting = _CountingStore(store)
+    with embedded_agent(AgentConfig(), store, SimulatedBackend(DeviceProfile()), 10.0):
+        started = time.monotonic()
+        summary = run_nas(run_config, counting, SimulatedTrainer(), settings=DispatchSettings())
+        wall_s = time.monotonic() - started
+    assert summary.ok_count == WAKE_EVALUATIONS
+    _assert_accounted(summary, run_config, store)
+    return wall_s, counting
+
+
+def test_measurements_wake_the_coordinator_and_posts_the_agent(default_poll_run):
+    wall_s, _ = default_poll_run
+    assert wall_s < WAKE_WALL_BOUND_S
+
+
+def test_a_candidate_reads_once_plus_once_per_measurement(default_poll_run):
+    """Each read follows the first or a measurement of its own architecture, not another's or a tick."""
+    _, counting = default_poll_run
+    assert sum(counting.posts.values()) == WAKE_EVALUATIONS
+    for architecture_id, posts in counting.posts.items():
+        assert counting.reads[architecture_id] <= posts * (len(AgentConfig.batch_sizes) + 1)
 
 
 # -- latency hiding, per round: max(train, P x measure) plus bounded overhead ---

@@ -493,7 +493,9 @@ def test_hung_embedded_agent_fails_a_block_that_succeeded(store, quiet_profile, 
             pass
 
 
-def test_leaving_the_block_stops_a_sleeping_embedded_agent(store, quiet_profile, monkeypatch):
+@pytest.fixture
+def polled(store, monkeypatch):
+    """An event that each poll of store sets once it returns."""
     polled = threading.Event()
     original = store.poll_unmeasured
 
@@ -503,7 +505,40 @@ def test_leaving_the_block_stops_a_sleeping_embedded_agent(store, quiet_profile,
         return records
 
     monkeypatch.setattr(store, "poll_unmeasured", poll)
+    return polled
+
+
+def test_leaving_the_block_stops_a_sleeping_embedded_agent(store, quiet_profile, polled):
     with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
         assert polled.wait(5.0)  # the agent now sleeps its 60 s poll interval
         started = time.monotonic()
     assert time.monotonic() - started < 2.0
+
+
+def test_a_post_wakes_an_embedded_agent_sleeping_its_poll(store, quiet_profile, polled):
+    with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
+        assert polled.wait(5.0)  # the agent now sleeps its 60 s poll interval
+        started = time.monotonic()
+        architecture_id = _insert_pending(store)
+        with store.wakeups.watch(architecture_id) as measured:
+            while True:
+                measured.clear()
+                if len(store.get_measurements(architecture_id, DEVICE)) == 4 or not measured.wait(5.0):
+                    break
+        waited_s = time.monotonic() - started
+    assert len(store.get_measurements(architecture_id, DEVICE)) == 4
+    assert waited_s < 1.0
+
+
+def test_a_raw_event_stop_returns_within_one_poll_interval(store, quiet_profile, polled):
+    """A caller that only sets its own event, not embedded_agent, waits out at most the agent's sleep."""
+    stop = threading.Event()
+    config = AgentConfig(poll_interval_ms=300)
+    thread = threading.Thread(target=run_agent_loop, args=(config, store, stop, SimulatedBackend(quiet_profile)))
+    thread.start()
+    assert polled.wait(5.0)
+    started = time.monotonic()
+    stop.set()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < config.poll_interval_ms / 1000.0 + 0.5
