@@ -191,7 +191,7 @@ class _CountingStore:
 
 @pytest.fixture
 def default_poll_run(store):
-    """(run_nas wall s, counting store, run config) of a run served by an embedded agent at the default polls."""
+    """(run_nas wall s, counting store) of a run served by an embedded agent at the default polls."""
     run_config = RunConfig(total_evaluations=WAKE_EVALUATIONS, measurement_timeout_s=30.0)
     counting = _CountingStore(store)
     with embedded_agent(AgentConfig(), store, SimulatedBackend(DeviceProfile()), 10.0):

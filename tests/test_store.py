@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import sqlite3
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from edgenas.store import (
     StoreError,
     UnknownArchitectureError,
     ValidationError,
+    Wakeups,
 )
 
 DEVICE = "sim-edge"
@@ -389,6 +391,55 @@ def test_cross_handle_visibility(tmp_path):
     with Store.initialize(path) as a, Store(path) as b:
         arch_id = a.insert_architecture(Role.OPTIMIZER, _arch())
         assert [r.id for r in b.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)] == [arch_id]
+
+
+WAKE_THREADS = 4  # of each kind: more threads than the cores of a small CI host
+WAKE_ROUNDS = 20_000  # with the watch lock removed, each of 8 runs failed; with 2,000, 1 of 5
+
+
+def test_wakeups_lose_no_post_and_leave_no_watcher_under_thread_churn():
+    """Threads post, and watch one architecture while another signals it: no post is lost, no watcher is left."""
+    wakeups = Wakeups()
+    done = threading.Event()
+    errors: list[Exception] = []
+
+    def run(work):
+        try:
+            work()
+        except Exception as exc:
+            errors.append(exc)
+
+    def post():
+        for _ in range(WAKE_ROUNDS):
+            wakeups.posted()
+
+    def watch():
+        for _ in range(WAKE_ROUNDS):
+            with wakeups.watch(7):
+                pass
+
+    def signal():
+        while not done.is_set():
+            wakeups.measured(7)
+
+    threads = [threading.Thread(target=run, args=(work,)) for _ in range(WAKE_THREADS) for work in (watch, post)]
+    signaller = threading.Thread(target=run, args=(signal,))
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        signaller.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        done.set()
+        signaller.join(5.0)
+        sys.setswitchinterval(switch_interval)
+    assert not any(t.is_alive() for t in [*threads, signaller])
+    assert errors == []
+    assert wakeups.posts == WAKE_THREADS * WAKE_ROUNDS
+    assert wakeups.watched == 0
 
 
 def _foreign_file(tmp_path, kind: str) -> str:
