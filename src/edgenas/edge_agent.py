@@ -6,10 +6,15 @@ through a pluggable backend, and reports one measurement row per batch
 size. The loop is sequential by design: latency measurement needs an
 otherwise-idle device. `edgenas agent` runs the loop as its own process;
 embedded_agent hosts it on a thread inside another command. Between
-passes the loop waits on its store's wakeups, so a post through the same
-handle wakes it at once; poll_interval_ms bounds the wait only for posts
-from another process. embedded_agent wakes the loop when its block ends;
-a caller that only sets its own stop event waits up to one poll interval.
+passes the loop waits on its store's wakeups. A post through the same
+handle ends the wait once the posts pause for POST_QUIET_S and
+PASS_INTERVAL_S has passed since the previous pass began, so one pass
+and one poll take a whole round of posts, and an in-process search runs
+its rounds at that fixed period instead of at whatever pace the host's
+load allows. poll_interval_ms bounds every wait, and alone bounds it for
+posts from another process. embedded_agent wakes the loop when its block
+ends; a caller that only sets its own stop event waits up to one poll
+interval.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ logger = logging.getLogger(__name__)
 BACKOFF_INITIAL_S = 0.5
 BACKOFF_CAP_S = 30.0
 MEASUREMENT_COMMAND_TIMEOUT_S = 300.0
+# A post starts the next pass no sooner than PASS_INTERVAL_S after the previous pass began, and only
+# once the posts have paused for POST_QUIET_S: one pass then takes a whole round of posts, and the
+# rounds of a search with an embedded agent keep this period instead of following the host's load.
+PASS_INTERVAL_S = 0.05
+POST_QUIET_S = 0.005
 
 
 class BackendError(Exception):
@@ -260,7 +270,10 @@ def run_agent_loop(
     A pass measures every unmeasured architecture one poll returns, then
     waits until store.wakeups counts a post newer than the last it saw
     before that poll, for at most poll_interval_ms; with once, the call
-    returns after one pass. Its own measurements never wake it. Setting
+    returns after one pass. After such a post the next pass starts once
+    the posts have paused for POST_QUIET_S, and no sooner than
+    PASS_INTERVAL_S after this pass began, unless poll_interval_ms ends
+    the wait first. Its own measurements never wake it. Setting
     stop_signal ends a wait only at its timeout, unless the setter then
     calls store.wakeups.interrupt(), as embedded_agent does.
     A partly measured architecture is still unmeasured, so the next pass
@@ -274,6 +287,7 @@ def run_agent_loop(
     backoff = BACKOFF_INITIAL_S
     wakeups = store.wakeups
     while not stop_signal.is_set():
+        pass_started = time.monotonic()
         seen = wakeups.posts  # read before the poll: a post it misses wakes the wait below
         try:
             records = store.poll_unmeasured(Role.EDGE_AGENT, config.device_type, config.batch_sizes)
@@ -305,7 +319,10 @@ def run_agent_loop(
                 return processed
         if once:
             return processed
-        wakeups.wait_for_post(seen, config.poll_interval_ms / 1000.0, stop_signal)
+        wakeups.wait_for_post(
+            seen, config.poll_interval_ms / 1000.0, stop_signal,
+            not_before=pass_started + PASS_INTERVAL_S, quiet_s=POST_QUIET_S,
+        )
     return processed
 
 

@@ -45,6 +45,7 @@ import os
 import re
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -210,7 +211,8 @@ class Wakeups:
     """In-process signals of one handle's writes, so that a waiter wakes on a write instead of a poll tick.
 
     A post (insert_architecture) bumps a counter under a Condition that
-    agents wait on. A measurement (insert_measurement) sets the Event of
+    agents wait on; a waiter may also hold off until a given time and
+    until the posts pause, so that one poll takes a burst. A measurement (insert_measurement) sets the Event of
     each watcher of its architecture, and only those. Each signal fires
     after its transaction commits and outside the store lock, so a woken
     reader sees the write. A write through another handle or process
@@ -221,6 +223,7 @@ class Wakeups:
     def __init__(self):
         self._posted = threading.Condition(threading.Lock())
         self._posts = 0
+        self._last_post = 0.0  # time.monotonic() of the latest post
         self._watch_lock = threading.Lock()
         self._watchers: dict[int, list[threading.Event]] = {}
 
@@ -232,12 +235,30 @@ class Wakeups:
     def posted(self) -> None:
         with self._posted:
             self._posts += 1
+            self._last_post = time.monotonic()
             self._posted.notify_all()
 
-    def wait_for_post(self, seen: int, timeout_s: float, stop: threading.Event) -> None:
-        """Block until a post beyond seen, until stop is set and interrupt is called, or for timeout_s."""
+    def wait_for_post(
+        self, seen: int, timeout_s: float, stop: threading.Event, not_before: float = 0.0, quiet_s: float = 0.0
+    ) -> None:
+        """Block until a post beyond seen, then until not_before and until quiet_s passes without another post.
+
+        not_before is a time.monotonic() reading. The wait ends early when
+        stop is set and interrupt is called, and lasts at most timeout_s.
+        """
+        deadline = time.monotonic() + timeout_s
         with self._posted:
-            self._posted.wait_for(lambda: self._posts != seen or stop.is_set(), timeout_s)
+            while not stop.is_set():
+                now = time.monotonic()
+                if self._posts != seen:
+                    ready_at = max(not_before, self._last_post + quiet_s)
+                    if now >= ready_at:
+                        return
+                else:
+                    ready_at = deadline
+                if now >= deadline:
+                    return
+                self._posted.wait(min(ready_at, deadline) - now)
 
     def interrupt(self) -> None:
         """Wake every wait_for_post, so that one whose stop is set returns at once."""

@@ -162,7 +162,7 @@ def test_store_error_while_scoring_is_counted(store):
 # -- wake-ups: an embedded agent at the default 250 ms / 500 ms polls ------------
 
 WAKE_EVALUATIONS = 64
-WAKE_WALL_BOUND_S = 2.0  # 0.3 s here with wake-ups; 4.5 s when every wait ran to its poll tick
+WAKE_WALL_BOUND_S = 2.0  # 0.45 s here (8 rounds at the 50 ms pass interval); 4.5 s when every wait ran to its poll tick
 
 
 class _CountingStore:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import add_failing_trigger
 from edgenas import cost_model
 from edgenas.cost_model import DeviceProfile, synthetic_latency
+from edgenas import edge_agent
 from edgenas.edge_agent import (
     AgentConfig,
     BackendError,
@@ -542,3 +543,56 @@ def test_a_raw_event_stop_returns_within_one_poll_interval(store, quiet_profile,
     thread.join(5.0)
     assert not thread.is_alive()
     assert time.monotonic() - started < config.poll_interval_ms / 1000.0 + 0.5
+
+
+@pytest.fixture
+def poll_log(store, monkeypatch):
+    """(start, rows returned) of each poll of store, in order."""
+    log: list[tuple[float, int]] = []
+    original = store.poll_unmeasured
+
+    def poll(*args):
+        started = time.monotonic()
+        records = original(*args)
+        log.append((started, len(records)))
+        return records
+
+    monkeypatch.setattr(store, "poll_unmeasured", poll)
+    return log
+
+
+def _wait_measured(store, architecture_ids, timeout_s=5.0):
+    """Block until every architecture has its four measurement rows, or timeout_s passes."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if all(len(store.get_measurements(a, DEVICE)) == 4 for a in architecture_ids):
+            return True
+        time.sleep(0.005)
+    return False
+
+
+def test_a_post_starts_a_pass_no_sooner_than_the_pass_interval(store, quiet_profile, poll_log, monkeypatch):
+    monkeypatch.setattr(edge_agent, "PASS_INTERVAL_S", 0.3)
+    with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
+        deadline = time.monotonic() + 5.0
+        while not poll_log and time.monotonic() < deadline:
+            time.sleep(0.005)
+        architecture_id = _insert_pending(store)  # at once: the first pass has just begun
+        assert _wait_measured(store, [architecture_id])
+    (first_started, _), (second_started, rows) = poll_log[:2]
+    assert rows == 1
+    # the post woke the 60 s wait, but the pass waited out the interval from the previous pass's start
+    assert second_started - first_started >= 0.3
+
+
+def test_a_burst_of_posts_reaches_one_pass(store, quiet_profile, poll_log, monkeypatch):
+    monkeypatch.setattr(edge_agent, "PASS_INTERVAL_S", 0.0)
+    monkeypatch.setattr(edge_agent, "POST_QUIET_S", 0.5)  # far longer than the gaps between the posts below
+    with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
+        deadline = time.monotonic() + 5.0
+        while not poll_log and time.monotonic() < deadline:
+            time.sleep(0.005)
+        posted = [_insert_pending(store, spec=sample(random.Random(seed))) for seed in range(3)]
+        assert len(set(posted)) == 3
+        assert _wait_measured(store, posted)
+    assert [rows for _, rows in poll_log[1:2]] == [3]

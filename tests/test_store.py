@@ -7,6 +7,7 @@ import re
 import sqlite3
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -441,6 +442,47 @@ def test_wakeups_lose_no_post_and_leave_no_watcher_under_thread_churn():
     assert wakeups.posts == WAKE_THREADS * WAKE_ROUNDS
     assert wakeups.watched == 0
 
+
+
+def test_a_post_wait_lasts_until_not_before():
+    wakeups = Wakeups()
+    wakeups.posted()
+    started = time.monotonic()
+    wakeups.wait_for_post(0, 5.0, threading.Event(), not_before=started + 0.2)
+    assert 0.2 <= time.monotonic() - started < 2.0
+
+
+def test_a_post_wait_lasts_until_the_posts_pause():
+    wakeups = Wakeups()
+    wakeups.posted()
+    started = time.monotonic()
+    wakeups.wait_for_post(0, 5.0, threading.Event(), quiet_s=0.2)
+    assert 0.2 <= time.monotonic() - started < 2.0
+
+
+def test_a_post_wait_never_outlasts_its_timeout():
+    wakeups = Wakeups()
+    wakeups.posted()
+    started = time.monotonic()
+    wakeups.wait_for_post(0, 0.1, threading.Event(), not_before=started + 60.0, quiet_s=60.0)
+    assert time.monotonic() - started < 2.0
+
+
+def test_an_interrupt_ends_a_stopped_post_wait():
+    wakeups = Wakeups()
+    wakeups.posted()
+    stop = threading.Event()
+    far = time.monotonic() + 60.0
+    waiter = threading.Thread(target=wakeups.wait_for_post, args=(0, 60.0, stop), kwargs={"not_before": far})
+    waiter.start()
+    time.sleep(0.05)
+    assert waiter.is_alive()
+    started = time.monotonic()
+    stop.set()
+    wakeups.interrupt()
+    waiter.join(5.0)
+    assert not waiter.is_alive()
+    assert time.monotonic() - started < 2.0
 
 def _foreign_file(tmp_path, kind: str) -> str:
     """A file no store made: a text file, or SQLite with one unrelated table at user_version 0."""
