@@ -212,8 +212,9 @@ class Wakeups:
 
     A post (insert_architecture) bumps a counter under a Condition that
     agents wait on; a waiter may also hold off until a given time and
-    until the posts pause, so that one poll takes a burst. A measurement (insert_measurement) sets the Event of
-    each watcher of its architecture, and only those. Each signal fires
+    until the posts pause, so that one poll takes a burst. A measurement
+    (insert_measurement) sets the Event of each watcher of its
+    architecture, and only those. Each signal fires
     after its transaction commits and outside the store lock, so a woken
     reader sees the write. A write through another handle or process
     signals nothing here: a waiter's timeout, its poll interval, bounds
