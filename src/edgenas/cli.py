@@ -1,9 +1,10 @@
-"""Operator entry points: one binary, five subcommands.
+"""Operator entry points: one binary, six subcommands.
 
     edgenas init-store                  create the schema
     edgenas run --samples 16 ...        one NAS search (Table-style row out)
     edgenas baseline                    push the expert default through the pipeline
     edgenas agent [--once]              the edge measurement daemon
+    edgenas status                      each device's open work and latest report
     edgenas report summary|pareto|medians --run-ids ...
 
 All numeric output uses fixed formats: scores and losses with 4 decimals,
@@ -99,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("kind", choices=["summary", "pareto", "medians"])
     report.add_argument("--run-ids", nargs="+", required=True)
     report.add_argument("--out", help="output directory for CSV reports")
+
+    sub.add_parser("status", help="each device's open work and latest report")
 
     agent = sub.add_parser("agent", help="run the edge measurement agent")
     agent.add_argument("--device-type", help="override the configured device type")
@@ -275,6 +278,20 @@ def _cmd_report(args: argparse.Namespace, cfg: CliConfig) -> int:
         return _report_medians(store, args.run_ids)
 
 
+def _cmd_status(args: argparse.Namespace, cfg: CliConfig) -> int:
+    """One line per device. No open work reads "idle": it says nothing of whether an agent serves the device."""
+    with Store(cfg.store_path) as store:
+        devices = store.backlog()
+    if not devices:
+        print("no device has open work or a report")
+    for d in devices:
+        oldest = "unknown" if d.oldest_open_s is None else f"{d.oldest_open_s:.1f} s"  # posted_at not a time
+        work = f"{d.open_count} open, oldest {oldest}" if d.open_count else "idle"
+        report = f"last report {d.last_measured_at}" if d.last_measured_at else "no report"
+        print(f"{d.device_type}: {work}, {report}")
+    return 0
+
+
 def _cmd_agent(args: argparse.Namespace, cfg: CliConfig) -> int:
     backend = _make_backend(cfg)
     stop = threading.Event()
@@ -299,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "baseline": _cmd_baseline,
         "report": _cmd_report,
+        "status": _cmd_status,
         "agent": _cmd_agent,
     }
     try:

@@ -10,8 +10,9 @@ candidate ends as the record run_ea keeps of it, scored or failed with
 its EvaluationFailed, and concurrent dispatches serialize only through
 store transactions. A candidate waiting for its measurement watches its
 architecture on the store's wakeups, so a measurement written through the
-same handle (an embedded agent) wakes it at once; the poll interval
-bounds the wait only for an agent in another process.
+same handle (an embedded agent) wakes it at once, and one committed by an
+agent in another process wakes it when the store's checker notices the
+commit; the poll interval only caps each wait.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ def dispatch_candidate(
     the round takes about max(train, P x measure) for population P, not
     their sum. After training, the candidate watches its architecture on
     store.wakeups until it returns: each measurement of it written through
-    this handle wakes the wait, so it reads at most once plus once per
-    batch size. A wait that no such write ends (an agent in another
-    process) reads again after settings.poll_interval_s. A failed trainer
+    this handle wakes the wait, and so does each commit through another
+    handle or process (an agent elsewhere), which the store's checker
+    notices. A wait that nothing wakes reads again after
+    settings.poll_interval_s, which only caps it. A failed trainer
     raises EvaluationFailed("trainer_failed"), a measurement set still
     incomplete after measurement_timeout_s raises
     EvaluationFailed("measurement_timeout").

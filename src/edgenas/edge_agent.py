@@ -7,14 +7,14 @@ size. The loop is sequential by design: latency measurement needs an
 otherwise-idle device. `edgenas agent` runs the loop as its own process;
 embedded_agent hosts it on a thread inside another command. Between
 passes the loop waits on its store's wakeups. A post through the same
-handle ends the wait once the posts pause for POST_QUIET_S and
+handle, or any commit through another handle or process (a coordinator
+elsewhere), ends the wait once the posts pause for POST_QUIET_S and
 PASS_INTERVAL_S has passed since the previous pass began, so one pass
-and one poll take a whole round of posts, and an in-process search runs
-its rounds at that fixed period instead of at whatever pace the host's
-load allows. poll_interval_ms bounds every wait, and alone bounds it for
-posts from another process. embedded_agent wakes the loop when its block
-ends; a caller that only sets its own stop event waits up to one poll
-interval.
+and one poll take a whole round of posts, and a search runs its rounds
+at that fixed period instead of at whatever pace the host's load allows.
+poll_interval_ms only caps each wait. embedded_agent wakes the loop when
+its block ends; a caller that only sets its own stop event waits until
+the next foreign commit or up to one poll interval.
 """
 
 from __future__ import annotations
@@ -270,12 +270,15 @@ def run_agent_loop(
     A pass measures every unmeasured architecture one poll returns, then
     waits until store.wakeups counts a post newer than the last it saw
     before that poll, for at most poll_interval_ms; with once, the call
-    returns after one pass. After such a post the next pass starts once
-    the posts have paused for POST_QUIET_S, and no sooner than
-    PASS_INTERVAL_S after this pass began, unless poll_interval_ms ends
-    the wait first. Its own measurements never wake it. Setting
-    stop_signal ends a wait only at its timeout, unless the setter then
-    calls store.wakeups.interrupt(), as embedded_agent does.
+    returns after one pass. A post through this handle counts, and so
+    does every commit through another handle or process, which the
+    store's checker notices within about 10 ms once it has seen one. After
+    such a post the next pass starts once the posts have paused for
+    POST_QUIET_S, and no sooner than PASS_INTERVAL_S after this pass
+    began, unless poll_interval_ms ends the wait first. Its own
+    measurements never wake it. Setting stop_signal ends a wait only at
+    its next post or timeout, unless the setter then calls
+    store.wakeups.interrupt(), as embedded_agent does.
     A partly measured architecture is still unmeasured, so the next pass
     measures it again. Undecodable and out-of-range spec documents are
     skipped alike: logged once, never measured. Store connectivity errors

@@ -15,8 +15,9 @@ model, and everyone reads everything:
   (poll_unmeasured), resolves the open rows it finds complete and upserts
   measurements (insert_measurement);
 - readers take an architecture's measurements (get_measurements), a run's
-  results joined with their architectures (query_results) and the runs
-  (get_run_metadata, list_run_ids).
+  results joined with their architectures (query_results), the runs
+  (get_run_metadata, list_run_ids) and each device's open work and latest
+  report (backlog).
 A poll reads only the device's open rows, so it costs in proportion to the
 open work, not to every architecture ever posted. The agent's poll first
 deletes the device's open rows that are complete at its batch sizes; each
@@ -26,12 +27,14 @@ reads, and still leaves out complete architectures.
 Every public operation executes as one transaction and raises only
 StoreError subclasses; a handle is safe to share across threads. Opening
 an older store upgrades it through MIGRATIONS in one transaction.
-A handle's wakeups (Wakeups) signal its own writes to its other threads:
-a post wakes the agents waiting for work, and a measurement wakes the
-candidates that watch its architecture. Each signal fires after its
-transaction commits, outside the store lock. A write through another
-handle or process signals nothing, so a waiter's poll interval still
-bounds the wait across processes.
+A handle's wakeups (Wakeups) wake its waiting threads on writes: a post
+through the handle wakes the agents waiting for work, and a measurement
+through it wakes the candidates that watch its architecture. Each signal
+fires after its transaction commits, outside the store lock. A commit
+through another handle or process wakes every waiter of this one: while
+any thread waits, a store-checker thread reads PRAGMA data_version, which
+moves only on another connection's commits, so the handle's own writes
+never reach it. A waiter's timeout only caps the wait.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import re
 import sqlite3
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -54,6 +58,11 @@ from .optimizer import LOSS_WEIGHT
 from .search_space import DocumentError, decode, validate
 
 SCORE_TOLERANCE = 1e-9
+# While a thread waits, the store-checker looks for a foreign commit every SLOW_CHECK_S until it first
+# sees one, then every FAST_CHECK_S: a handle that no other connection writes (an embedded agent's)
+# never speeds up, so it pays about four checks a second while it waits.
+SLOW_CHECK_S = 0.25
+FAST_CHECK_S = 0.01
 
 
 class StoreError(Exception):
@@ -140,6 +149,16 @@ class RunMetadata:
     summary_document: str | None = None
 
 
+@dataclass
+class DeviceBacklog:
+    """One device's open work and its latest report, as Store.backlog reads them."""
+
+    device_type: str
+    open_count: int  # pending_measurement rows: architectures no agent has yet seen measured
+    oldest_open_s: float | None  # age of the oldest open row's posted_at; None with no open row
+    last_measured_at: str | None  # the latest edge_measurement's measured_at; None before any
+
+
 def _from_row(cls, row: sqlite3.Row, prefix: str = ""):
     """The record dataclass cls from a row with one column, prefix + name, per field."""
     return cls(**{f.name: row[prefix + f.name] for f in dataclasses.fields(cls)})
@@ -208,25 +227,34 @@ def _upgrade_statements(version: int) -> list[str]:
 
 
 class Wakeups:
-    """In-process signals of one handle's writes, so that a waiter wakes on a write instead of a poll tick.
+    """Signals of a handle's writes and of foreign commits, so that a waiter wakes on a write instead of a poll tick.
 
     A post (insert_architecture) bumps a counter under a Condition that
     agents wait on; a waiter may also hold off until a given time and
     until the posts pause, so that one poll takes a burst. A measurement
     (insert_measurement) sets the Event of each watcher of its
-    architecture, and only those. Each signal fires
-    after its transaction commits and outside the store lock, so a woken
-    reader sees the write. A write through another handle or process
-    signals nothing here: a waiter's timeout, its poll interval, bounds
-    the wait for those.
+    architecture, and only those. Each signal fires after its transaction
+    commits and outside the store lock, so a woken reader sees the write.
+    A write through another handle or process reaches this one only
+    through foreign_commit, a callable that tells whether another
+    connection committed since its last call: while a wait_for_post or
+    watch block waits, a daemon store-checker thread calls it, and on a
+    foreign commit it posts and sets every watcher's Event. A waiter's
+    timeout caps the wait. close ends the checker at once.
     """
 
-    def __init__(self):
+    def __init__(self, foreign_commit: Callable[[], bool] | None = None):
         self._posted = threading.Condition(threading.Lock())
         self._posts = 0
         self._last_post = 0.0  # time.monotonic() of the latest post
         self._watch_lock = threading.Lock()
         self._watchers: dict[int, list[threading.Event]] = {}
+        self._foreign_commit = foreign_commit
+        self._checking = threading.Condition(threading.Lock())  # guards the three below
+        self._waiting = 0  # wait_for_post calls and watch blocks in progress
+        self._checker: threading.Thread | None = None  # runs while _waiting > 0
+        self._closed = False
+        self._interval = SLOW_CHECK_S  # FAST_CHECK_S from the first foreign commit on
 
     @property
     def posts(self) -> int:
@@ -248,7 +276,7 @@ class Wakeups:
         stop is set and interrupt is called, and lasts at most timeout_s.
         """
         deadline = time.monotonic() + timeout_s
-        with self._posted:
+        with self._waiting_block(), self._posted:
             while not stop.is_set():
                 now = time.monotonic()
                 if self._posts != seen:
@@ -273,7 +301,8 @@ class Wakeups:
         with self._watch_lock:
             self._watchers.setdefault(architecture_id, []).append(event)
         try:
-            yield event
+            with self._waiting_block():
+                yield event
         finally:
             with self._watch_lock:
                 events = self._watchers[architecture_id]
@@ -291,6 +320,56 @@ class Wakeups:
             for event in self._watchers.get(architecture_id, ()):
                 event.set()
 
+    def close(self) -> None:
+        """End the store-checker at once, without another call of foreign_commit, and start none again."""
+        with self._checking:
+            self._closed = True
+            self._checking.notify_all()
+
+    @contextlib.contextmanager
+    def _waiting_block(self):
+        """Count a waiter for the block: the first starts a store-checker, and the last stops and joins it.
+
+        The join ends the checker before the waiter's thread can end. glibc
+        hands the malloc arena of the thread that ended last to the next
+        thread started, so a checker that outlived an agent thread would
+        hand its own arena to the next agent, whose working set would then
+        take a second arena (+2.7 MB peak RSS in perfbench's big_store on a
+        2-vCPU Xeon).
+        """
+        with self._checking:
+            self._waiting += 1
+            if self._waiting == 1 and self._foreign_commit is not None and not self._closed:
+                self._checker = threading.Thread(target=self._check_foreign_commits, name="store-checker", daemon=True)
+                self._checker.start()
+        try:
+            yield
+        finally:
+            with self._checking:
+                self._waiting -= 1
+                checker = None
+                if not self._waiting:
+                    checker, self._checker = self._checker, None
+                    self._checking.notify_all()
+            if checker is not None:
+                checker.join()
+
+    def _check_foreign_commits(self) -> None:
+        """A store-checker: until it is stopped, signal each foreign commit as both kinds of write."""
+        me = threading.current_thread()
+        while True:
+            with self._checking:
+                self._checking.wait_for(lambda: self._closed or self._checker is not me, self._interval)
+                if self._closed or self._checker is not me:
+                    return
+            if self._foreign_commit():
+                self._interval = FAST_CHECK_S
+                self.posted()
+                with self._watch_lock:
+                    for events in self._watchers.values():
+                        for event in events:
+                            event.set()
+
 
 class Store:
     """Thread-safe handle on one store; every operation is atomic, every failure a StoreError.
@@ -305,8 +384,9 @@ class Store:
 
     def __init__(self, path: str, create: bool = False):
         self.path = path
-        self.wakeups = Wakeups()
+        self.wakeups = Wakeups(self._foreign_commit)
         self._lock = threading.RLock()
+        self._closed = False
         uninitialized = f"store at {path} is not initialized; run init-store first"
         if not (create or os.path.exists(path)):  # only create makes the file
             raise StoreError(uninitialized)
@@ -334,6 +414,7 @@ class Store:
                 self._conn.execute("PRAGMA journal_mode = WAL")  # changes only an empty file: a store is WAL already
             if version < SCHEMA_VERSION:
                 self._upgrade()
+            self._data_version = self._conn.execute("PRAGMA data_version").fetchone()[0]
         except BaseException:
             self._conn.close()
             raise
@@ -360,7 +441,24 @@ class Store:
 
     def close(self) -> None:
         with self._lock:
+            self._closed = True  # under the lock, so the checker never reads a closed connection
             self._conn.close()
+        self.wakeups.close()
+
+    def _foreign_commit(self) -> bool:
+        """Whether another connection committed since the last call; the handle's own commits never count.
+
+        A failed read counts as a commit, so that the waiters' own reads meet the failure.
+        """
+        with self._lock:
+            if self._closed:
+                return False
+            try:
+                version = self._conn.execute("PRAGMA data_version").fetchone()[0]
+            except sqlite3.Error:
+                return True
+            moved, self._data_version = version != self._data_version, version
+        return moved
 
     def __enter__(self) -> "Store":
         return self
@@ -478,6 +576,23 @@ class Store:
             ).fetchall()
         # columns in field order: positional rows skip _from_row's lookups by name
         return [EdgeMeasurement(*r) for r in rows]
+
+    def backlog(self, now: str | None = None) -> list[DeviceBacklog]:
+        """Each device with an open row or a measurement, by device type; ages count back from now.
+
+        now is an ISO-8601 time like utc_now()'s, which it defaults to.
+        """
+        with self._transaction():
+            rows = self._conn.execute(
+                "SELECT device_type, SUM(open_count), MAX(oldest_open_s), MAX(last_measured_at) FROM ("
+                " SELECT device_type, COUNT(*) AS open_count,"
+                " ROUND((julianday(?) - julianday(MIN(posted_at))) * 86400.0, 3) AS oldest_open_s,"
+                " NULL AS last_measured_at FROM pending_measurement GROUP BY device_type"
+                " UNION ALL SELECT device_type, 0, NULL, MAX(measured_at) FROM edge_measurement GROUP BY device_type"
+                ") GROUP BY device_type ORDER BY device_type",
+                (now or utc_now(),),
+            ).fetchall()
+        return [DeviceBacklog(*r) for r in rows]
 
     # -- benchmark_result ----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Edge agent in its own OS process, sharing only the store file with the test.
 
-    python agent_process.py STORE_PATH CALL_DURATION_S
+    python agent_process.py STORE_PATH CALL_DURATION_S [POLL_INTERVAL_MS]
 
 Prints "ready" once the agent loop runs, serves the store until stdin
 closes, then stops the loop and prints the wall time of every backend call,
-in call order, as one JSON list. Exits 3 if the loop does not stop.
+in call order, as one JSON list. Exits 3 if the loop does not stop. The
+agent's poll interval is POLL_INTERVAL_MS, 1 ms by default.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class TimedBackend:
 
 def main() -> int:
     store_path, call_s = sys.argv[1], float(sys.argv[2])
+    poll_interval_ms = int(sys.argv[3]) if len(sys.argv) > 3 else 1
     backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
     with Store(store_path) as store:
         try:
-            with embedded_agent(AgentConfig(poll_interval_ms=1), store, backend, JOIN_TIMEOUT_S):
+            with embedded_agent(AgentConfig(poll_interval_ms=poll_interval_ms), store, backend, JOIN_TIMEOUT_S):
                 print("ready", flush=True)
                 sys.stdin.read()
         except TimeoutError:

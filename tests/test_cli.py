@@ -13,10 +13,13 @@ import pytest
 from conftest import add_failing_trigger
 from edgenas import cli as cli_module
 from edgenas import edge_agent
+from edgenas import store as store_module
 from edgenas.cli import main
 from edgenas.optimizer import HISTORY_CSV_COLUMNS
 from edgenas.search_space import default_config, encode
-from edgenas.store import ArchitectureRecord, BenchmarkResult, Role, RunMetadata, Store
+from edgenas.store import (
+    ArchitectureRecord, BenchmarkResult, EdgeMeasurement, Role, RunMetadata, Store,
+)
 
 RUN_ID = "run-s0-n16-p8"
 
@@ -134,6 +137,38 @@ def test_agent_once_serves_a_detached_baseline(tmp_path, monkeypatch, capsys):
     assert cli("agent", "--once") == (0, "processed 0 architecture(s)\n")
     code, out = cli("baseline", "--no-embedded-agent")
     assert code == 0 and out.splitlines()[1].startswith("0        408.8178")
+
+
+def _at(clock: str) -> str:
+    return f"2026-01-01T00:{clock}.000+00:00"
+
+
+def test_status_prints_each_devices_backlog_and_latest_report(cli, tmp_path, monkeypatch):
+    cli("init-store")
+    assert cli("status") == (0, "no device has open work or a report\n")
+    with Store(str(tmp_path / "cli.sqlite")) as store:
+        def post(lineage: int, created_at: str, targets: list[str]) -> int:
+            record = ArchitectureRecord("r", lineage, encode(default_config()), targets, created_at)
+            return store.insert_architecture(Role.OPTIMIZER, record)
+
+        def report(architecture_id: int, device: str, measured: str) -> None:
+            row = EdgeMeasurement(architecture_id, device, 1, 10.0, 0.1, 10, 3, measured_at=_at(measured))
+            store.insert_measurement(Role.EDGE_AGENT, row)
+
+        first = post(0, _at("00:00"), ["dev-a", "dev-b"])
+        post(1, _at("01:00"), ["dev-a", "dev-c"])
+        post(2, "yesterday", ["dev-d"])  # a client's created_at that is no time
+        report(first, "dev-a", "02:00")  # one size of four: still open
+        report(first, "dev-b", "03:00")
+        store.poll_unmeasured(Role.EDGE_AGENT, "dev-b", (1,))  # the agent resolves dev-b's complete row
+    monkeypatch.setattr(store_module, "utc_now", lambda: _at("05:00"))
+    assert cli("status") == (
+        0,
+        f"dev-a: 2 open, oldest 300.0 s, last report {_at('02:00')}\n"
+        f"dev-b: idle, last report {_at('03:00')}\n"
+        "dev-c: 1 open, oldest 240.0 s, no report\n"
+        "dev-d: 1 open, oldest unknown, no report\n",
+    )
 
 
 def _written_rows(store) -> list[int]:

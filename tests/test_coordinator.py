@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,8 @@ from edgenas.coordinator import (
 from edgenas.cost_model import DeviceProfile
 from edgenas.edge_agent import AgentConfig, SimulatedBackend, embedded_agent
 from edgenas.optimizer import RunConfig, derive_seed
-from edgenas.search_space import default_config
-from edgenas.store import Store, StoreError
+from edgenas.search_space import default_config, encode
+from edgenas.store import ArchitectureRecord, Role, Store, StoreError
 
 
 def _trainer(script: str, timeout_s: float = 30.0) -> ExternalTrainer:
@@ -243,16 +244,11 @@ class _TimedTrainer(SimulatedTrainer):
 
 
 @contextlib.contextmanager
-def _timed_agent(store: Store, where: str, call_s: float):
-    """An agent on a thread or in its own process; yields the list its backend call times land in."""
-    if where == "thread":
-        backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
-        with embedded_agent(AgentConfig(poll_interval_ms=1), store, backend, 10.0):
-            yield backend.durations
-        return
+def _agent_process(store_path: str, call_s: float, poll_interval_ms: int = 1):
+    """agent_process.py on store_path; yields the list its backend call times land in once it has stopped."""
     helper = Path(__file__).with_name("agent_process.py")
     proc = subprocess.Popen(
-        [sys.executable, str(helper), store.path, repr(call_s)],
+        [sys.executable, str(helper), store_path, repr(call_s), str(poll_interval_ms)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=helper_env(),
     )
     durations: list[float] = []
@@ -268,6 +264,18 @@ def _timed_agent(store: Store, where: str, call_s: float):
             raise
     assert proc.returncode == 0
     durations.extend(json.loads(out))
+
+
+@contextlib.contextmanager
+def _timed_agent(store: Store, where: str, call_s: float):
+    """An agent on a thread or in its own process; yields the list its backend call times land in."""
+    if where == "thread":
+        backend = TimedBackend(SimulatedBackend(DeviceProfile(), call_duration_s=call_s))
+        with embedded_agent(AgentConfig(poll_interval_ms=1), store, backend, 10.0):
+            yield backend.durations
+        return
+    with _agent_process(store.path, call_s) as durations:
+        yield durations
 
 
 def _hiding_run(store: Store, regime: str, population: int, where: str) -> tuple[float, float]:
@@ -297,6 +305,49 @@ def test_latency_hiding_per_round(store, regime, population, where):
     """The agent measures sequentially, so a round of P takes max(train, P x measure), not train + P x measure."""
     wall_s, bound_s = _hiding_run(store, regime, population, where)
     assert bound_s <= wall_s <= bound_s + HIDING_ROUNDS * (2 * HIDING_POLL_S + HIDING_SLACK_S)
+
+
+# -- wake-ups across processes: foreign commits end waits capped at 60 s -------
+
+SLOW_POLL_MS = 60_000
+WAKE_BOUND_S = 1.0
+
+
+def _measured_at(store: Store, architecture_id: int) -> list[datetime]:
+    rows = store.get_measurements(architecture_id, AgentConfig.device_type)
+    return [datetime.fromisoformat(m.measured_at) for m in rows]
+
+
+def test_an_agent_in_another_process_measures_a_post_without_waiting_its_poll(store):
+    """The agent sleeps a 60 s poll; the store's checker sees the coordinator's commit."""
+    with _agent_process(store.path, 0.0, SLOW_POLL_MS):
+        time.sleep(0.5)  # the agent's first poll finds nothing, and it sleeps
+        posted = datetime.now(timezone.utc)
+        record = ArchitectureRecord("r", 0, encode(default_config()), [AgentConfig.device_type])
+        architecture_id = store.insert_architecture(Role.OPTIMIZER, record)
+        deadline = time.monotonic() + 10.0
+        while len(_measured_at(store, architecture_id)) < len(AgentConfig.batch_sizes) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    measured = _measured_at(store, architecture_id)
+    assert len(measured) == len(AgentConfig.batch_sizes)
+    assert (max(measured) - posted).total_seconds() < WAKE_BOUND_S
+
+
+def test_a_candidate_is_scored_soon_after_a_measurement_from_another_process(store):
+    """The candidate waits with a 60 s poll; the store's checker sees the agent's commit."""
+    run_config = RunConfig(population_size=1, total_evaluations=1, measurement_timeout_s=30.0)
+    settings = DispatchSettings(poll_interval_s=SLOW_POLL_MS / 1000.0)
+    # about 0.3 s of measuring, so that the instant training ends first and the candidate waits
+    with _agent_process(store.path, 0.3 / (len(AgentConfig.batch_sizes) * 13)):
+        args = (run_config, store, SimulatedTrainer())
+        scoring = threading.Thread(target=run_nas, args=args, kwargs={"settings": settings})
+        scoring.start()
+        scoring.join(10.0)
+    assert not scoring.is_alive()
+    [run_id] = store.list_run_ids()
+    [(result, architecture)] = [(r, a) for r, a in store.query_results(run_id) if r.split == "validation"]
+    scored = datetime.fromisoformat(result.created_at)
+    assert (scored - max(_measured_at(store, architecture.id))).total_seconds() < WAKE_BOUND_S
 
 
 def test_baseline_for_a_second_device_is_measured_on_it(store):

@@ -22,7 +22,10 @@ from edgenas.store import (
     ConsistencyError,
     EdgeMeasurement,
     PermissionDeniedError,
+    FAST_CHECK_S,
+    SLOW_CHECK_S,
     Role,
+    RunMetadata,
     SchemaVersionError,
     Store,
     StoreError,
@@ -483,6 +486,61 @@ def test_an_interrupt_ends_a_stopped_post_wait():
     waiter.join(5.0)
     assert not waiter.is_alive()
     assert time.monotonic() - started < 2.0
+
+
+def test_only_foreign_commits_reach_a_handles_checker(tmp_path):
+    """A handle's own commits never move PRAGMA data_version; another handle's commit wakes every waiter."""
+    path = str(tmp_path / "shared.sqlite")
+    with Store.initialize(path) as store, Store(path) as other:
+        watched, written = (store.insert_architecture(Role.OPTIMIZER, _arch(lineage=i)) for i in range(2))
+        with store.wakeups.watch(watched) as measured:
+            posts = store.wakeups.posts
+            for batch_size in BATCH_SIZES:
+                store.insert_measurement(Role.EDGE_AGENT, _measurement(written, batch_size))
+            store.insert_benchmark_result(Role.OPTIMIZER, _result(written))
+            assert not measured.wait(3 * SLOW_CHECK_S)
+            assert store.wakeups.posts == posts
+            other.insert_measurement(Role.EDGE_AGENT, _measurement(written, 1, mean=11.0))
+            assert measured.wait(5.0)
+            assert store.wakeups.posts == posts + 1
+            measured.clear()  # the checker now looks every FAST_CHECK_S
+            store.insert_measurement(Role.EDGE_AGENT, _measurement(written, 2, mean=12.0))
+            assert not measured.wait(20 * FAST_CHECK_S)
+            assert store.wakeups.posts == posts + 1
+
+
+def test_closing_a_handle_ends_its_checker_while_threads_wait(tmp_path, monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    path = str(tmp_path / "shared.sqlite")
+    store = Store.initialize(path)
+    architecture_id = store.insert_architecture(Role.OPTIMIZER, _arch())
+    stop = threading.Event()
+
+    def watch():
+        with store.wakeups.watch(architecture_id):
+            stop.wait(10.0)
+
+    post_wait = dict(seen=store.wakeups.posts, timeout_s=10.0, stop=stop, not_before=time.monotonic() + 10.0)
+    waiters = [threading.Thread(target=store.wakeups.wait_for_post, kwargs=post_wait), threading.Thread(target=watch)]
+    try:
+        for waiter in waiters:
+            waiter.start()
+        with Store(path) as other:  # a foreign commit: the checker then looks every FAST_CHECK_S
+            other.upsert_run_metadata(Role.OPTIMIZER, RunMetadata("r1", "{}"))
+        time.sleep(2 * SLOW_CHECK_S)
+        [checker] = [t for t in threading.enumerate() if t.name == "store-checker"]
+        assert all(waiter.is_alive() for waiter in waiters)
+        store.close()
+        checker.join(1.0)
+        assert not checker.is_alive()
+    finally:
+        stop.set()
+        store.wakeups.interrupt()
+        for waiter in waiters:
+            waiter.join(5.0)
+    assert not any(waiter.is_alive() for waiter in waiters)
+    assert raised == []
 
 def _foreign_file(tmp_path, kind: str) -> str:
     """A file no store made: a text file, or SQLite with one unrelated table at user_version 0."""
