@@ -155,7 +155,7 @@ class DeviceBacklog:
 
     device_type: str
     open_count: int  # pending_measurement rows: architectures no agent has yet seen measured
-    oldest_open_s: float | None  # age of the oldest open row's posted_at; None with no open row
+    oldest_open_s: float | None  # age of the oldest open row's posted_at; None when no open row has a time
     last_measured_at: str | None  # the latest edge_measurement's measured_at; None before any
 
 
@@ -243,7 +243,7 @@ class Wakeups:
     timeout caps the wait. close ends the checker at once.
     """
 
-    def __init__(self, foreign_commit: Callable[[], bool] | None = None):
+    def __init__(self, foreign_commit: Callable[[], bool]):
         self._posted = threading.Condition(threading.Lock())
         self._posts = 0
         self._last_post = 0.0  # time.monotonic() of the latest post
@@ -339,7 +339,7 @@ class Wakeups:
         """
         with self._checking:
             self._waiting += 1
-            if self._waiting == 1 and self._foreign_commit is not None and not self._closed:
+            if self._waiting == 1 and not self._closed:
                 self._checker = threading.Thread(target=self._check_foreign_commits, name="store-checker", daemon=True)
                 self._checker.start()
         try:
@@ -577,20 +577,21 @@ class Store:
         # columns in field order: positional rows skip _from_row's lookups by name
         return [EdgeMeasurement(*r) for r in rows]
 
-    def backlog(self, now: str | None = None) -> list[DeviceBacklog]:
-        """Each device with an open row or a measurement, by device type; ages count back from now.
+    def backlog(self) -> list[DeviceBacklog]:
+        """Each device with an open row or a measurement, by device type; ages count back from utc_now().
 
-        now is an ISO-8601 time like utc_now()'s, which it defaults to.
+        The oldest age skips a posted_at that is no time, so it is None
+        only when none of the device's open rows has one.
         """
         with self._transaction():
             rows = self._conn.execute(
                 "SELECT device_type, SUM(open_count), MAX(oldest_open_s), MAX(last_measured_at) FROM ("
                 " SELECT device_type, COUNT(*) AS open_count,"
-                " ROUND((julianday(?) - julianday(MIN(posted_at))) * 86400.0, 3) AS oldest_open_s,"
+                " ROUND((julianday(?) - MIN(julianday(posted_at))) * 86400.0, 3) AS oldest_open_s,"
                 " NULL AS last_measured_at FROM pending_measurement GROUP BY device_type"
                 " UNION ALL SELECT device_type, 0, NULL, MAX(measured_at) FROM edge_measurement GROUP BY device_type"
                 ") GROUP BY device_type ORDER BY device_type",
-                (now or utc_now(),),
+                (utc_now(),),
             ).fetchall()
         return [DeviceBacklog(*r) for r in rows]
 

@@ -158,13 +158,14 @@ def test_status_prints_each_devices_backlog_and_latest_report(cli, tmp_path, mon
         first = post(0, _at("00:00"), ["dev-a", "dev-b"])
         post(1, _at("01:00"), ["dev-a", "dev-c"])
         post(2, "yesterday", ["dev-d"])  # a client's created_at that is no time
+        post(3, "1/1/2026", ["dev-a"])  # no time either, and it sorts before every dated row as text
         report(first, "dev-a", "02:00")  # one size of four: still open
         report(first, "dev-b", "03:00")
         store.poll_unmeasured(Role.EDGE_AGENT, "dev-b", (1,))  # the agent resolves dev-b's complete row
     monkeypatch.setattr(store_module, "utc_now", lambda: _at("05:00"))
     assert cli("status") == (
         0,
-        f"dev-a: 2 open, oldest 300.0 s, last report {_at('02:00')}\n"
+        f"dev-a: 3 open, oldest 300.0 s, last report {_at('02:00')}\n"
         f"dev-b: idle, last report {_at('03:00')}\n"
         "dev-c: 1 open, oldest 240.0 s, no report\n"
         "dev-d: 1 open, oldest unknown, no report\n",

@@ -403,7 +403,7 @@ WAKE_ROUNDS = 20_000  # with the watch lock removed, each of 8 runs failed; with
 
 def test_wakeups_lose_no_post_and_leave_no_watcher_under_thread_churn():
     """Threads post, and watch one architecture while another signals it: no post is lost, no watcher is left."""
-    wakeups = Wakeups()
+    wakeups = Wakeups(lambda: False)
     done = threading.Event()
     errors: list[Exception] = []
 
@@ -448,7 +448,7 @@ def test_wakeups_lose_no_post_and_leave_no_watcher_under_thread_churn():
 
 
 def test_a_post_wait_lasts_until_not_before():
-    wakeups = Wakeups()
+    wakeups = Wakeups(lambda: False)
     wakeups.posted()
     started = time.monotonic()
     wakeups.wait_for_post(0, 5.0, threading.Event(), not_before=started + 0.2)
@@ -456,7 +456,7 @@ def test_a_post_wait_lasts_until_not_before():
 
 
 def test_a_post_wait_lasts_until_the_posts_pause():
-    wakeups = Wakeups()
+    wakeups = Wakeups(lambda: False)
     wakeups.posted()
     started = time.monotonic()
     wakeups.wait_for_post(0, 5.0, threading.Event(), quiet_s=0.2)
@@ -464,7 +464,7 @@ def test_a_post_wait_lasts_until_the_posts_pause():
 
 
 def test_a_post_wait_never_outlasts_its_timeout():
-    wakeups = Wakeups()
+    wakeups = Wakeups(lambda: False)
     wakeups.posted()
     started = time.monotonic()
     wakeups.wait_for_post(0, 0.1, threading.Event(), not_before=started + 60.0, quiet_s=60.0)
@@ -472,7 +472,7 @@ def test_a_post_wait_never_outlasts_its_timeout():
 
 
 def test_an_interrupt_ends_a_stopped_post_wait():
-    wakeups = Wakeups()
+    wakeups = Wakeups(lambda: False)
     wakeups.posted()
     stop = threading.Event()
     far = time.monotonic() + 60.0
