@@ -3,9 +3,9 @@
 Backed by a single-file SQLite database so that desk-scale runs need zero
 ops. It relies on SQLite beyond the DDL in schema.sql: triggers expand an
 architecture's device targets with json_each, insert_architecture uses
-INSERT OR IGNORE, and the user_version, journal_mode=WAL and foreign_keys
-PRAGMAs hold the schema version, let readers run beside a writer and
-enforce references. Write permissions follow the deployment's grant
+INSERT OR IGNORE, and the user_version, journal_mode=WAL, synchronous=NORMAL
+and foreign_keys PRAGMAs hold the schema version, let readers run beside a
+writer, commit without waiting for an fsync and enforce references. Write permissions follow the deployment's grant
 model, and everyone reads everything:
 - the optimizer posts architectures (insert_architecture), scores them
   (insert_benchmark_result) and records its runs (upsert_run_metadata);
@@ -380,6 +380,10 @@ class Store:
     upgraded in one transaction, which a failure leaves as it was. An open
     that fails for any reason closes its handle. The schema's CHECK
     constraints validate column ranges; a violation raises ValidationError.
+    Commits run at synchronous=NORMAL under WAL: a killed process loses no
+    committed write, but an OS crash or a power loss may drop the latest
+    commits, as if they were never made
+    (https://sqlite.org/pragma.html#pragma_synchronous, https://sqlite.org/wal.html).
     """
 
     def __init__(self, path: str, create: bool = False):
@@ -412,6 +416,7 @@ class Store:
             with self._transaction():
                 self._conn.execute("PRAGMA foreign_keys = ON")
                 self._conn.execute("PRAGMA journal_mode = WAL")  # changes only an empty file: a store is WAL already
+                self._conn.execute("PRAGMA synchronous = NORMAL")  # per connection, so on every open
             if version < SCHEMA_VERSION:
                 self._upgrade()
             self._data_version = self._conn.execute("PRAGMA data_version").fetchone()[0]

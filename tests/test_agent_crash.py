@@ -1,11 +1,15 @@
-"""An edge agent killed right after any of its store writes loses nothing once restarted.
+"""An edge agent killed right after any of its store writes keeps what it committed, and loses nothing once restarted.
 
-Each case posts the same three architectures to a fresh store, kills an
-agent pass (tests/crashing_agent.py) after its k-th write, restarts it
-without a kill and makes one more agent poll. The measurements must then
-equal those of an uninterrupted pass, ids and timestamps aside, with no
-open row left. A kill inside a commit is SQLite's atomicity to handle and
-is not covered here.
+Each case posts the same three architectures to a fresh store and kills an
+agent pass (tests/crashing_agent.py) after its k-th write. The killed pass
+must have left every write it committed: its first write is the poll, so
+the store holds exactly k - 1 measurement rows, which shows that commits at
+synchronous=NORMAL survive a process kill. A restart without a kill and one
+more agent poll must then leave the measurements of an uninterrupted pass,
+ids and timestamps aside, with no open row left. A kill inside a commit is
+SQLite's atomicity to handle, and an OS crash or a power loss, which may
+drop the latest commits at synchronous=NORMAL, cannot be made here; neither
+is covered.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ def _posted_store(path: Path) -> str:
     return str(path)
 
 
+def _measurement_rows(path: str) -> int:
+    """The measurement rows committed so far, read with a plain connection and no agent poll."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM edge_measurement").fetchone()[0]
+    finally:
+        conn.close()
+
+
 def _outcome(path: str) -> tuple[list[tuple], int]:
     """After one more agent poll: the measurement rows without id and measured_at, and the open rows left."""
     with Store(path) as store:
@@ -65,6 +78,7 @@ def test_agent_killed_after_any_store_write_restarts_to_the_same_measurements(tm
         path = _posted_store(tmp_path / f"killed-{kill_at}.sqlite")
         killed = _agent_pass(path, kill_at)
         assert killed.returncode == KILLED_EXIT, (kill_at, killed.stderr)
+        assert _measurement_rows(path) == kill_at - 1, f"killed after write {kill_at}"
         restarted = _agent_pass(path, 0)
         assert restarted.returncode == 0, (kill_at, restarted.stderr)
         assert _outcome(path) == expected, f"killed after write {kill_at}"

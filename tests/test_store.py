@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import edgenas
-from conftest import add_failing_trigger
+from conftest import add_failing_trigger, make_v1_store
 from edgenas.search_space import default_config, encode
 from edgenas.store import (
     ArchitectureRecord,
@@ -317,6 +317,16 @@ def test_durability_across_reopen(tmp_path):
         arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
     with Store(path) as reopened:
         assert [r.id for r in reopened.poll_unmeasured(Role.READER, DEVICE, BATCH_SIZES)] == [arch_id]
+
+
+def test_every_open_commits_at_synchronous_normal(tmp_path):
+    """The setting is per connection, so a new, a reopened and a migrated handle each carry it."""
+    path = str(tmp_path / "new.sqlite")
+    migrated = make_v1_store(tmp_path / "v1.sqlite")
+    with Store.initialize(path) as new, Store(path) as reopened, Store(migrated) as upgraded:
+        for store in (new, reopened, upgraded):
+            assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+        assert upgraded.schema_version == 2
 
 
 def test_open_uninitialized_store_fails(tmp_path):
