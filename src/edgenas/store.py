@@ -5,8 +5,9 @@ ops. It relies on SQLite beyond the DDL in schema.sql: triggers expand an
 architecture's device targets with json_each, insert_architecture uses
 INSERT OR IGNORE, and the user_version, journal_mode=WAL, synchronous=NORMAL
 and foreign_keys PRAGMAs hold the schema version, let readers run beside a
-writer, commit without waiting for an fsync and enforce references. Write permissions follow the deployment's grant
-model, and everyone reads everything:
+writer, commit without waiting for an fsync and enforce references. Write
+permissions follow the deployment's grant model, and everyone reads
+everything:
 - the optimizer posts architectures (insert_architecture), scores them
   (insert_benchmark_result) and records its runs (upsert_run_metadata);
   a post, and a re-post that adds a device, opens one pending_measurement

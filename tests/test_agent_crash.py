@@ -1,10 +1,10 @@
-"""An edge agent killed right after any of its store writes keeps what it committed, and loses nothing once restarted.
+"""An edge agent killed right after any store write keeps its commits, and loses nothing once restarted.
 
 Each case posts the same three architectures to a fresh store and kills an
 agent pass (tests/crashing_agent.py) after its k-th write. The killed pass
-must have left every write it committed: its first write is the poll, so
-the store holds exactly k - 1 measurement rows, which shows that commits at
-synchronous=NORMAL survive a process kill. A restart without a kill and one
+must have left every write it committed, since commits at
+synchronous=NORMAL survive a process kill: its first write is the poll, so
+the store holds exactly k - 1 measurement rows. A restart without a kill and one
 more agent poll must then leave the measurements of an uninterrupted pass,
 ids and timestamps aside, with no open row left. A kill inside a commit is
 SQLite's atomicity to handle, and an OS crash or a power loss, which may
