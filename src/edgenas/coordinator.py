@@ -11,8 +11,8 @@ its EvaluationFailed, and concurrent dispatches serialize only through
 store transactions. A candidate waiting for its measurement watches its
 architecture on the store's wakeups, so a measurement written through the
 same handle (an embedded agent) wakes it at once, and one committed by an
-agent in another process wakes it when the store's checker notices the
-commit; the poll interval only caps each wait.
+agent in another process at the waiting threads' next check for it (one
+at a time, at most once per interval); the poll interval caps each wait.
 """
 
 from __future__ import annotations
@@ -120,12 +120,12 @@ def dispatch_candidate(
     their sum. After training, the candidate watches its architecture on
     store.wakeups until it returns: each measurement of it written through
     this handle wakes the wait, and so does each commit through another
-    handle or process (an agent elsewhere), which the store's checker
-    notices. A wait that nothing wakes reads again after
-    settings.poll_interval_s, which only caps it. A failed trainer
-    raises EvaluationFailed("trainer_failed"), a measurement set still
-    incomplete after measurement_timeout_s raises
-    EvaluationFailed("measurement_timeout").
+    handle or process (an agent elsewhere), which the waiting threads
+    check for, one at a time and at most once per interval. A wait that
+    nothing wakes reads again after settings.poll_interval_s, which only
+    caps it. A failed trainer raises EvaluationFailed("trainer_failed"),
+    a measurement set still incomplete after measurement_timeout_s
+    raises EvaluationFailed("measurement_timeout").
     """
     started = time.perf_counter()
     architecture_id = store.insert_architecture(

@@ -12,9 +12,10 @@ elsewhere), ends the wait once the posts pause for POST_QUIET_S and
 PASS_INTERVAL_S has passed since the previous pass began, so one pass
 and one poll take a whole round of posts, and a search runs its rounds
 at that fixed period instead of at whatever pace the host's load allows.
-poll_interval_ms only caps each wait. embedded_agent wakes the loop when
-its block ends; a caller that only sets its own stop event waits until
-the next foreign commit or up to one poll interval.
+The waiting threads check for foreign commits themselves, one at a time
+and at most once per interval. poll_interval_ms only caps each wait.
+embedded_agent wakes the loop when its block ends; a caller that only
+sets its own stop event waits until that check, or the poll interval.
 """
 
 from __future__ import annotations
@@ -272,12 +273,13 @@ def run_agent_loop(
     before that poll, for at most poll_interval_ms; with once, the call
     returns after one pass. A post through this handle counts, and so
     does every commit through another handle or process, which the
-    store's checker notices within about 10 ms once it has seen one. After
-    such a post the next pass starts once the posts have paused for
+    waiting threads check for, one at a time and at most once per
+    interval: about every 10 ms once one has been seen. After such a
+    post the next pass starts once the posts have paused for
     POST_QUIET_S, and no sooner than PASS_INTERVAL_S after this pass
     began, unless poll_interval_ms ends the wait first. Its own
     measurements never wake it. Setting stop_signal ends a wait only at
-    its next post or timeout, unless the setter then calls
+    its next post, check or timeout, unless the setter then calls
     store.wakeups.interrupt(), as embedded_agent does.
     A partly measured architecture is still unmeasured, so the next pass
     measures it again. Undecodable and out-of-range spec documents are

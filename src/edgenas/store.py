@@ -32,10 +32,10 @@ A handle's wakeups (Wakeups) wake its waiting threads on writes: a post
 through the handle wakes the agents waiting for work, and a measurement
 through it wakes the candidates that watch its architecture. Each signal
 fires after its transaction commits, outside the store lock. A commit
-through another handle or process wakes every waiter of this one: while
-any thread waits, a store-checker thread reads PRAGMA data_version, which
-moves only on another connection's commits, so the handle's own writes
-never reach it. A waiter's timeout only caps the wait.
+through another handle or process wakes every waiter of this one: the
+waiting threads read PRAGMA data_version, one at a time and at most once
+per interval. It moves only on another connection's commits, so the
+handle's own writes never reach it. A waiter's timeout only caps the wait.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .optimizer import LOSS_WEIGHT
 from .search_space import DocumentError, decode, validate
 
 SCORE_TOLERANCE = 1e-9
-# While a thread waits, the store-checker looks for a foreign commit every SLOW_CHECK_S until it first
-# sees one, then every FAST_CHECK_S: a handle that no other connection writes (an embedded agent's)
-# never speeds up, so it pays about four checks a second while it waits.
+# While threads wait, one of them looks for a foreign commit every SLOW_CHECK_S until one is first
+# seen, then every FAST_CHECK_S: a handle that no other connection writes (an embedded agent's)
+# never speeds up, so it pays about four checks a second while anything waits.
 SLOW_CHECK_S = 0.25
 FAST_CHECK_S = 0.01
 
@@ -227,6 +227,23 @@ def _upgrade_statements(version: int) -> list[str]:
     return upgrade
 
 
+class _CheckingEvent(threading.Event):
+    """An Event whose wait runs check between slices, each slice ending no later than the time check returns."""
+
+    def __init__(self, check: Callable[[], float]):
+        super().__init__()
+        self._check = check
+
+    def wait(self, timeout: float | None = None) -> bool:
+        deadline = float("inf") if timeout is None else time.monotonic() + timeout
+        while True:
+            slice_end = min(self._check(), deadline)
+            if super().wait(slice_end - time.monotonic()):
+                return True
+            if time.monotonic() >= deadline:
+                return False
+
+
 class Wakeups:
     """Signals of a handle's writes and of foreign commits, so that a waiter wakes on a write instead of a poll tick.
 
@@ -238,10 +255,12 @@ class Wakeups:
     commits and outside the store lock, so a woken reader sees the write.
     A write through another handle or process reaches this one only
     through foreign_commit, a callable that tells whether another
-    connection committed since its last call: while a wait_for_post or
-    watch block waits, a daemon store-checker thread calls it, and on a
-    foreign commit it posts and sets every watcher's Event. A waiter's
-    timeout caps the wait. close ends the checker at once.
+    connection committed since its last call. The threads that wait in
+    wait_for_post or on a watch block's Event call it themselves, between
+    slices of their waits: one at a time, at most once per SLOW_CHECK_S
+    until the first foreign commit and once per FAST_CHECK_S after it,
+    however many threads wait. A foreign commit posts and sets every
+    watcher's Event. A waiter's timeout caps the wait.
     """
 
     def __init__(self, foreign_commit: Callable[[], bool]):
@@ -251,10 +270,8 @@ class Wakeups:
         self._watch_lock = threading.Lock()
         self._watchers: dict[int, list[threading.Event]] = {}
         self._foreign_commit = foreign_commit
-        self._checking = threading.Condition(threading.Lock())  # guards the three below
-        self._waiting = 0  # wait_for_post calls and watch blocks in progress
-        self._checker: threading.Thread | None = None  # runs while _waiting > 0
-        self._closed = False
+        self._check_lock = threading.Lock()  # held by the one waiter that checks now
+        self._check_due = 0.0  # time.monotonic() of the next check, shared by every waiter
         self._interval = SLOW_CHECK_S  # FAST_CHECK_S from the first foreign commit on
 
     @property
@@ -277,18 +294,19 @@ class Wakeups:
         stop is set and interrupt is called, and lasts at most timeout_s.
         """
         deadline = time.monotonic() + timeout_s
-        with self._waiting_block(), self._posted:
-            while not stop.is_set():
+        while True:
+            check_due = self._check()  # outside the Condition: a foreign commit posts under it
+            with self._posted:
                 now = time.monotonic()
+                if stop.is_set() or now >= deadline:
+                    return
                 if self._posts != seen:
                     ready_at = max(not_before, self._last_post + quiet_s)
                     if now >= ready_at:
                         return
                 else:
                     ready_at = deadline
-                if now >= deadline:
-                    return
-                self._posted.wait(min(ready_at, deadline) - now)
+                self._posted.wait(min(ready_at, deadline, check_due) - now)
 
     def interrupt(self) -> None:
         """Wake every wait_for_post, so that one whose stop is set returns at once."""
@@ -298,12 +316,11 @@ class Wakeups:
     @contextlib.contextmanager
     def watch(self, architecture_id: int):
         """An Event that each measurement of architecture_id sets while the block runs."""
-        event = threading.Event()
+        event = _CheckingEvent(self._check)
         with self._watch_lock:
             self._watchers.setdefault(architecture_id, []).append(event)
         try:
-            with self._waiting_block():
-                yield event
+            yield event
         finally:
             with self._watch_lock:
                 events = self._watchers[architecture_id]
@@ -321,55 +338,32 @@ class Wakeups:
             for event in self._watchers.get(architecture_id, ()):
                 event.set()
 
-    def close(self) -> None:
-        """End the store-checker at once, without another call of foreign_commit, and start none again."""
-        with self._checking:
-            self._closed = True
-            self._checking.notify_all()
+    def _check(self) -> float:
+        """Call foreign_commit once if the shared due time has passed; return the time a waiter should check next.
 
-    @contextlib.contextmanager
-    def _waiting_block(self):
-        """Count a waiter for the block: the first starts a store-checker, and the last stops and joins it.
-
-        The join ends the checker before the waiter's thread can end. glibc
-        hands the malloc arena of the thread that ended last to the next
-        thread started, so a checker that outlived an agent thread would
-        hand its own arena to the next agent, whose working set would then
-        take a second arena (+2.7 MB peak RSS in perfbench's big_store on a
-        2-vCPU Xeon).
+        A waiter that finds another checking returns at once, with a time
+        at least FAST_CHECK_S ahead: that one signals what it finds. A
+        foreign commit is signalled as both kinds of write.
         """
-        with self._checking:
-            self._waiting += 1
-            if self._waiting == 1 and not self._closed:
-                self._checker = threading.Thread(target=self._check_foreign_commits, name="store-checker", daemon=True)
-                self._checker.start()
+        if not self._check_lock.acquire(blocking=False):
+            return max(self._check_due, time.monotonic() + FAST_CHECK_S)
         try:
-            yield
+            now = time.monotonic()
+            if now < self._check_due:
+                return self._check_due
+            self._check_due = now + self._interval
+            if not self._foreign_commit():
+                return self._check_due
+            self._interval = FAST_CHECK_S
+            self._check_due = now + FAST_CHECK_S
         finally:
-            with self._checking:
-                self._waiting -= 1
-                checker = None
-                if not self._waiting:
-                    checker, self._checker = self._checker, None
-                    self._checking.notify_all()
-            if checker is not None:
-                checker.join()
-
-    def _check_foreign_commits(self) -> None:
-        """A store-checker: until it is stopped, signal each foreign commit as both kinds of write."""
-        me = threading.current_thread()
-        while True:
-            with self._checking:
-                self._checking.wait_for(lambda: self._closed or self._checker is not me, self._interval)
-                if self._closed or self._checker is not me:
-                    return
-            if self._foreign_commit():
-                self._interval = FAST_CHECK_S
-                self.posted()
-                with self._watch_lock:
-                    for events in self._watchers.values():
-                        for event in events:
-                            event.set()
+            self._check_lock.release()
+        self.posted()
+        with self._watch_lock:
+            for events in self._watchers.values():
+                for event in events:
+                    event.set()
+        return self._check_due
 
 
 class Store:
@@ -447,9 +441,8 @@ class Store:
 
     def close(self) -> None:
         with self._lock:
-            self._closed = True  # under the lock, so the checker never reads a closed connection
+            self._closed = True  # under the lock, so that a waiter's check never reads a closed connection
             self._conn.close()
-        self.wakeups.close()
 
     def _foreign_commit(self) -> bool:
         """Whether another connection committed since the last call; the handle's own commits never count.

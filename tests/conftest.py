@@ -3,7 +3,6 @@ from __future__ import annotations
 import os
 import random
 import sqlite3
-import threading
 from pathlib import Path
 
 import pytest
@@ -12,19 +11,6 @@ import edgenas
 from edgenas.cost_model import DeviceProfile, SurrogateConfig, synthetic_latency, synthetic_val_loss
 from edgenas.optimizer import ScoreBreakdown, derive_seed
 from edgenas.store import Store
-
-
-CHECKER_JOIN_S = 2.0  # close(), and the last wait to end, stop a store's checker at once
-
-
-@pytest.fixture(autouse=True)
-def no_store_checker_outlives_its_test():
-    """Fail a test that leaves a store-checker thread alive: a wait goes on on a handle it never closed."""
-    yield
-    checkers = [t for t in threading.enumerate() if t.name == "store-checker"]
-    for checker in checkers:
-        checker.join(CHECKER_JOIN_S)
-    assert not [t for t in checkers if t.is_alive()], "a store-checker thread outlived its test"
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import json
+import statistics
 import subprocess
 import sys
 import threading
@@ -222,6 +223,7 @@ def test_a_candidate_reads_once_plus_once_per_measurement(default_poll_run):
 HIDING_ROUNDS = 3
 HIDING_POLL_S = 0.001  # the coordinator's and the agent's poll interval
 HIDING_SLACK_S = 0.2  # per round: the worst of 40 runs per case on a shared 2-vCPU host was 118 ms (CHANGES.md)
+HIDING_MEDIAN_EXCESS_S = 0.04  # the median round's: the worst of 40 runs per case on a 2-vCPU host was 10.2 ms (CHANGES.md)
 HIDING_REGIMES = {  # (training s per candidate, measuring s per round)
     "train_dominates": (0.25, 0.05),
     "balanced": (0.25, 0.25),  # the upper bound is below train + P x measure: this case fails without overlap
@@ -230,16 +232,16 @@ HIDING_REGIMES = {  # (training s per candidate, measuring s per round)
 
 
 class _TimedTrainer(SimulatedTrainer):
-    """Records the wall time of each training, in completion order."""
+    """Records the perf_counter() start and the wall time of each training, in completion order."""
 
     def __init__(self, duration_s: float):
         super().__init__(duration_s=duration_s)
-        self.durations: list[float] = []
+        self.trainings: list[tuple[float, float]] = []
 
     def train_and_validate(self, spec, epochs, seed):
         started = time.perf_counter()
         result = super().train_and_validate(spec, epochs, seed)
-        self.durations.append(time.perf_counter() - started)
+        self.trainings.append((started, time.perf_counter() - started))
         return result
 
 
@@ -278,8 +280,13 @@ def _timed_agent(store: Store, where: str, call_s: float):
         yield durations
 
 
-def _hiding_run(store: Store, regime: str, population: int, where: str) -> tuple[float, float]:
-    """(run_nas wall s, sum over rounds of max(train, P x measure)), from the times trainer and backend observed."""
+def _hiding_run(store: Store, regime: str, population: int, where: str) -> tuple[float, float, float]:
+    """(run_nas wall s, sum over rounds of max(train, P x measure), median round's excess s over its max).
+
+    The times come from what trainer and backend observed. A round runs
+    from its first training's start to the next round's, the last one
+    until run_nas returns.
+    """
     train_s, round_measure_s = HIDING_REGIMES[regime]
     config = AgentConfig()
     calls_per_arch = len(config.batch_sizes) * (config.num_warmup + config.num_timed_runs)
@@ -289,13 +296,17 @@ def _hiding_run(store: Store, regime: str, population: int, where: str) -> tuple
     )
     with _timed_agent(store, where, round_measure_s / (population * calls_per_arch)) as call_times:
         summary = run_nas(run_config, store, trainer, settings=FAST)
+        ended = time.perf_counter()
     assert summary.ok_count == run_config.total_evaluations
     # the agent measures one architecture at a time in post order, and a round posts only after the last is scored
     assert len(call_times) == run_config.total_evaluations * calls_per_arch
     per_arch = [sum(call_times[i:i + calls_per_arch]) for i in range(0, len(call_times), calls_per_arch)]
+    trainings = sorted(trainer.trainings)
     rounds = [slice(r * population, (r + 1) * population) for r in range(HIDING_ROUNDS)]
-    bound_s = sum(max(max(trainer.durations[r]), sum(per_arch[r])) for r in rounds)
-    return summary.total_wall_ms / 1000.0, bound_s
+    floors = [max(max(d for _, d in trainings[r]), sum(per_arch[r])) for r in rounds]
+    starts = [trainings[r][0][0] for r in rounds] + [ended]
+    excess = [end - start - floor for start, end, floor in zip(starts, starts[1:], floors)]
+    return summary.total_wall_ms / 1000.0, sum(floors), statistics.median(excess)
 
 
 @pytest.mark.parametrize("where", ["thread", "process"])
@@ -303,8 +314,9 @@ def _hiding_run(store: Store, regime: str, population: int, where: str) -> tuple
 @pytest.mark.parametrize("regime", list(HIDING_REGIMES))
 def test_latency_hiding_per_round(store, regime, population, where):
     """The agent measures sequentially, so a round of P takes max(train, P x measure), not train + P x measure."""
-    wall_s, bound_s = _hiding_run(store, regime, population, where)
+    wall_s, bound_s, median_excess_s = _hiding_run(store, regime, population, where)
     assert bound_s <= wall_s <= bound_s + HIDING_ROUNDS * (2 * HIDING_POLL_S + HIDING_SLACK_S)
+    assert median_excess_s <= HIDING_MEDIAN_EXCESS_S
 
 
 # -- wake-ups across processes: foreign commits end waits capped at 60 s -------

@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import sqlite3
+import statistics
 import sys
 import threading
 import time
@@ -519,7 +520,8 @@ def test_only_foreign_commits_reach_a_handles_checker(tmp_path):
             assert store.wakeups.posts == posts + 1
 
 
-def test_closing_a_handle_ends_its_checker_while_threads_wait(tmp_path, monkeypatch):
+def test_closing_a_handle_while_threads_wait(tmp_path, monkeypatch):
+    """The waiters go on checking after close(): no thread raises, and each wait ends only on its stop."""
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
     path = str(tmp_path / "shared.sqlite")
@@ -528,29 +530,99 @@ def test_closing_a_handle_ends_its_checker_while_threads_wait(tmp_path, monkeypa
     stop = threading.Event()
 
     def watch():
-        with store.wakeups.watch(architecture_id):
-            stop.wait(10.0)
+        with store.wakeups.watch(architecture_id) as measured:
+            while not stop.is_set():
+                measured.clear()
+                measured.wait(SLOW_CHECK_S)
 
     post_wait = dict(seen=store.wakeups.posts, timeout_s=10.0, stop=stop, not_before=time.monotonic() + 10.0)
     waiters = [threading.Thread(target=store.wakeups.wait_for_post, kwargs=post_wait), threading.Thread(target=watch)]
     try:
         for waiter in waiters:
             waiter.start()
-        with Store(path) as other:  # a foreign commit: the checker then looks every FAST_CHECK_S
+        with Store(path) as other:  # a foreign commit: the waiters then check every FAST_CHECK_S
             other.upsert_run_metadata(Role.OPTIMIZER, RunMetadata("r1", "{}"))
         time.sleep(2 * SLOW_CHECK_S)
-        [checker] = [t for t in threading.enumerate() if t.name == "store-checker"]
-        assert all(waiter.is_alive() for waiter in waiters)
         store.close()
-        checker.join(1.0)
-        assert not checker.is_alive()
+        time.sleep(3 * SLOW_CHECK_S)
+        assert all(waiter.is_alive() for waiter in waiters)
+        stopped = time.monotonic()
     finally:
         stop.set()
         store.wakeups.interrupt()
         for waiter in waiters:
             waiter.join(5.0)
     assert not any(waiter.is_alive() for waiter in waiters)
+    assert time.monotonic() - stopped < 2 * SLOW_CHECK_S + 1.0
     assert raised == []
+
+
+CHECK_WATCHERS = 8
+
+
+def test_waiting_threads_share_their_checks_for_foreign_commits():
+    """However many threads wait, one checks at a time, at one shared period; no thread is started to check."""
+    calls: list[float] = []
+    in_flight: list[None] = []
+    overlapped: list[bool] = []
+    committed_at: list[int] = []
+    commit = threading.Event()
+
+    def foreign_commit():
+        in_flight.append(None)
+        overlapped.append(len(in_flight) > 1)
+        calls.append(time.monotonic())
+        time.sleep(0.001)  # a second check in the meantime would overlap this one
+        in_flight.pop()
+        if not commit.is_set():
+            return False
+        commit.clear()
+        committed_at.append(len(calls) - 1)
+        return True
+
+    wakeups = Wakeups(foreign_commit)
+    stop = threading.Event()
+
+    def watch(architecture_id):
+        with wakeups.watch(architecture_id) as measured:
+            while not stop.is_set():
+                measured.clear()
+                measured.wait(60.0)
+
+    waiters = [threading.Thread(target=watch, args=(i,)) for i in range(CHECK_WATCHERS)]
+    post_wait = dict(seen=wakeups.posts, timeout_s=60.0, stop=stop, not_before=time.monotonic() + 60.0)
+    waiters.append(threading.Thread(target=wakeups.wait_for_post, kwargs=post_wait))
+    before = set(threading.enumerate())
+    try:
+        started = time.monotonic()
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(1.0)
+        slow_calls, slow_s = len(calls), time.monotonic() - started
+        assert set(threading.enumerate()) == before | set(waiters)
+        commit.set()
+        deadline = time.monotonic() + 5.0
+        while not committed_at and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        assert set(threading.enumerate()) == before | set(waiters)
+    finally:
+        stop.set()
+        for i in range(CHECK_WATCHERS):
+            wakeups.measured(i)
+        wakeups.interrupt()
+        for waiter in waiters:
+            waiter.join(5.0)
+    assert not any(waiter.is_alive() for waiter in waiters)
+    assert slow_calls <= slow_s / SLOW_CHECK_S + 2
+    assert not any(overlapped)
+    assert wakeups.posts == 1
+    [first_fast] = committed_at
+    fast = calls[first_fast:]
+    gaps = [b - a for a, b in zip(fast, fast[1:])]
+    assert 10 <= len(gaps) <= (fast[-1] - fast[0]) / FAST_CHECK_S + 2  # once per waiter would make about 9 times as many
+    assert statistics.median(gaps) < 3 * FAST_CHECK_S
+
 
 def _foreign_file(tmp_path, kind: str) -> str:
     """A file no store made: a text file, or SQLite with one unrelated table at user_version 0."""
