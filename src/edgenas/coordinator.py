@@ -9,10 +9,11 @@ train + P x measure. The coordinator owns no state outside the store: a
 candidate ends as the record run_ea keeps of it, scored or failed with
 its EvaluationFailed, and concurrent dispatches serialize only through
 store transactions. A candidate waiting for its measurement watches its
-architecture on the store's wakeups, so a measurement written through the
-same handle (an embedded agent) wakes it at once, and one committed by an
-agent in another process at the waiting threads' next check for it (one
-at a time, at most once per interval); the poll interval caps each wait.
+architecture on the store's wakeups, as the agent watches the posts
+(edge_agent), so a measurement written through the same handle (an
+embedded agent) wakes it at once, and one committed by an agent in
+another process at the waiting threads' next check for it (one at a
+time, at most once per interval); the poll interval caps each wait.
 """
 
 from __future__ import annotations
@@ -118,12 +119,13 @@ def dispatch_candidate(
     k-th candidate of a round also waits for the k-1 posted before it, and
     the round takes about max(train, P x measure) for population P, not
     their sum. After training, the candidate watches its architecture on
-    store.wakeups until it returns: each measurement of it written through
-    this handle wakes the wait, and so does each commit through another
-    handle or process (an agent elsewhere), which the waiting threads
-    check for, one at a time and at most once per interval. A wait that
-    nothing wakes reads again after settings.poll_interval_s, which only
-    caps it. A failed trainer raises EvaluationFailed("trainer_failed"),
+    store.wakeups until it returns, as the agent watches the posts, and
+    clears the Event before each read: each measurement of it written
+    through this handle wakes the wait, and so does each commit through
+    another handle or process (an agent elsewhere), which the waiting
+    threads check for, one at a time and at most once per interval. A
+    wait that nothing wakes reads again after settings.poll_interval_s,
+    which only caps it. A failed trainer raises EvaluationFailed("trainer_failed"),
     a measurement set still incomplete after measurement_timeout_s
     raises EvaluationFailed("measurement_timeout").
     """

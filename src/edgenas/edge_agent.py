@@ -6,16 +6,18 @@ through a pluggable backend, and reports one measurement row per batch
 size. The loop is sequential by design: latency measurement needs an
 otherwise-idle device. `edgenas agent` runs the loop as its own process;
 embedded_agent hosts it on a thread inside another command. Between
-passes the loop waits on its store's wakeups. A post through the same
-handle, or any commit through another handle or process (a coordinator
-elsewhere), ends the wait once the posts pause for POST_QUIET_S and
-PASS_INTERVAL_S has passed since the previous pass began, so one pass
-and one poll take a whole round of posts, and a search runs its rounds
-at that fixed period instead of at whatever pace the host's load allows.
-The waiting threads check for foreign commits themselves, one at a time
-and at most once per interval. poll_interval_ms only caps each wait.
-embedded_agent wakes the loop when its block ends; a caller that only
-sets its own stop event waits until that check, or the poll interval.
+passes the loop watches the posts on its store's wakeups, the way a
+waiting candidate watches its architecture (coordinator). A post through
+the same handle, or any commit through another handle or process (a
+coordinator elsewhere), wakes it. The loop paces itself: it then holds
+the next pass until the posts pause for POST_QUIET_S and PASS_INTERVAL_S
+has passed since the previous pass began, so one pass and one poll take
+a whole round of posts, and a search runs its rounds at that fixed
+period instead of at whatever pace the host's load allows.
+poll_interval_ms caps each wait, the hold included. embedded_agent wakes
+the loop when its block ends; a caller that only sets its own stop event
+waits until the wait's next check for foreign commits (store), or the
+poll interval if that ends first.
 """
 
 from __future__ import annotations
@@ -34,16 +36,16 @@ from typing import Protocol
 from . import cost_model
 from .optimizer import derive_seed
 from .search_space import DocumentError, HyperparamSpec, decode, to_document_dict, validate
-from .store import EdgeMeasurement, Role, Store, StoreError
+from .store import POSTS, EdgeMeasurement, Role, Store, StoreError
 
 logger = logging.getLogger(__name__)
 
 BACKOFF_INITIAL_S = 0.5
 BACKOFF_CAP_S = 30.0
 MEASUREMENT_COMMAND_TIMEOUT_S = 300.0
-# A post starts the next pass no sooner than PASS_INTERVAL_S after the previous pass began, and only
-# once the posts have paused for POST_QUIET_S: one pass then takes a whole round of posts, and the
-# rounds of a search with an embedded agent keep this period instead of following the host's load.
+# After a wake, the next pass starts no sooner than PASS_INTERVAL_S after the previous pass began, and
+# only once POST_QUIET_S has passed without another post: one pass then takes a whole round of posts,
+# and the rounds of a search with an embedded agent keep this period instead of following the host's load.
 PASS_INTERVAL_S = 0.05
 POST_QUIET_S = 0.005
 
@@ -269,18 +271,20 @@ def run_agent_loop(
     """Poll, measure and report in passes until stop_signal.
 
     A pass measures every unmeasured architecture one poll returns, then
-    waits until store.wakeups counts a post newer than the last it saw
-    before that poll, for at most poll_interval_ms; with once, the call
-    returns after one pass. A post through this handle counts, and so
-    does every commit through another handle or process, which the
-    waiting threads check for, one at a time and at most once per
-    interval: about every 10 ms once one has been seen. After such a
-    post the next pass starts once the posts have paused for
-    POST_QUIET_S, and no sooner than PASS_INTERVAL_S after this pass
-    began, unless poll_interval_ms ends the wait first. Its own
-    measurements never wake it. Setting stop_signal ends a wait only at
-    its next post, check or timeout, unless the setter then calls
-    store.wakeups.interrupt(), as embedded_agent does.
+    waits for a post; with once, the call returns after one pass. The
+    loop watches POSTS on store.wakeups for its whole length and clears
+    the Event before each poll, so a post that the poll misses ends the
+    wait. A post through this handle sets it, and so does every commit
+    through another handle or process, which the waiting threads check
+    for, one at a time and at most once per interval: about every 10 ms
+    once one has been seen. Its own measurements never set it. After a
+    wake the next pass starts once POST_QUIET_S has passed without
+    another post, and no sooner than PASS_INTERVAL_S after this pass
+    began. poll_interval_ms caps the whole wait, the hold included, so an
+    agent with a 1 ms poll interval is not paced. Setting stop_signal
+    ends a wait at its next post or check for foreign commits, or at its
+    timeout, unless the setter then calls store.wakeups.interrupt(), as
+    embedded_agent does, which ends it at once.
     A partly measured architecture is still unmeasured, so the next pass
     measures it again. Undecodable and out-of-range spec documents are
     skipped alike: logged once, never measured. Store connectivity errors
@@ -290,44 +294,47 @@ def run_agent_loop(
     skipped: set[int] = set()
     processed = 0
     backoff = BACKOFF_INITIAL_S
-    wakeups = store.wakeups
-    while not stop_signal.is_set():
-        pass_started = time.monotonic()
-        seen = wakeups.posts  # read before the poll: a post it misses wakes the wait below
-        try:
-            records = store.poll_unmeasured(Role.EDGE_AGENT, config.device_type, config.batch_sizes)
-            backoff = BACKOFF_INITIAL_S
-        except Exception as exc:  # the loop must survive store outages
-            logger.warning("poll failed (%s); backing off %.1fs", exc, backoff)
-            if stop_signal.wait(backoff):
-                break
-            backoff = min(backoff * 2, BACKOFF_CAP_S)
-            continue
-        for record in [r for r in records if r.id not in skipped]:
+    with store.wakeups.watch(POSTS, stop_signal) as posted:
+        while not stop_signal.is_set():
+            pass_started = time.monotonic()
+            posted.clear()  # before the poll: a post it misses sets the event again
             try:
-                spec = decode(record.spec_document)
-                problem = "; ".join(validate(spec, "baseline"))
-            except DocumentError as exc:
-                problem = f"undecodable document ({exc})"
-            if problem:
-                logger.error("skipping architecture %s: %s", record.id, problem)
-                skipped.add(record.id)
+                records = store.poll_unmeasured(Role.EDGE_AGENT, config.device_type, config.batch_sizes)
+                backoff = BACKOFF_INITIAL_S
+            except Exception as exc:  # the loop must survive store outages
+                logger.warning("poll failed (%s); backing off %.1fs", exc, backoff)
+                if stop_signal.wait(backoff):
+                    break
+                backoff = min(backoff * 2, BACKOFF_CAP_S)
                 continue
-            rows = measure(spec, config, backend, architecture_id=record.id)
-            for row in rows:
+            for record in [r for r in records if r.id not in skipped]:
                 try:
-                    store.insert_measurement(Role.EDGE_AGENT, row)
-                except StoreError as exc:
-                    logger.error("failed to report measurement for architecture %s: %s", record.id, exc)
-            processed += 1
-            if stop_signal.is_set():
+                    spec = decode(record.spec_document)
+                    problem = "; ".join(validate(spec, "baseline"))
+                except DocumentError as exc:
+                    problem = f"undecodable document ({exc})"
+                if problem:
+                    logger.error("skipping architecture %s: %s", record.id, problem)
+                    skipped.add(record.id)
+                    continue
+                rows = measure(spec, config, backend, architecture_id=record.id)
+                for row in rows:
+                    try:
+                        store.insert_measurement(Role.EDGE_AGENT, row)
+                    except StoreError as exc:
+                        logger.error("failed to report measurement for architecture %s: %s", record.id, exc)
+                processed += 1
+                if stop_signal.is_set():
+                    return processed
+            if once:
                 return processed
-        if once:
-            return processed
-        wakeups.wait_for_post(
-            seen, config.poll_interval_ms / 1000.0, stop_signal,
-            not_before=pass_started + PASS_INTERVAL_S, quiet_s=POST_QUIET_S,
-        )
+            deadline = time.monotonic() + config.poll_interval_ms / 1000.0
+            woke = posted.wait(config.poll_interval_ms / 1000.0)
+            while woke and not stop_signal.is_set():  # hold the next pass: see PASS_INTERVAL_S
+                posted.clear()
+                now = time.monotonic()
+                hold_s = min(max(pass_started + PASS_INTERVAL_S, now + POST_QUIET_S), deadline) - now
+                woke = hold_s > 0 and posted.wait(hold_s)
     return processed
 
 

@@ -28,14 +28,17 @@ reads, and still leaves out complete architectures.
 Every public operation executes as one transaction and raises only
 StoreError subclasses; a handle is safe to share across threads. Opening
 an older store upgrades it through MIGRATIONS in one transaction.
-A handle's wakeups (Wakeups) wake its waiting threads on writes: a post
-through the handle wakes the agents waiting for work, and a measurement
-through it wakes the candidates that watch its architecture. Each signal
-fires after its transaction commits, outside the store lock. A commit
-through another handle or process wakes every waiter of this one: the
-waiting threads read PRAGMA data_version, one at a time and at most once
-per interval. It moves only on another connection's commits, so the
-handle's own writes never reach it. A waiter's timeout only caps the wait.
+A handle's wakeups (Wakeups) wake its waiting threads on writes, and
+every waiter waits the same way: it watches a key and waits on an Event.
+A post through the handle sets the Events of the posts watchers (agents
+waiting for work), and a measurement through it those of the watchers of
+its architecture (candidates waiting for it). Each signal fires after its
+transaction commits, outside the store lock. A commit through another
+handle or process sets every Event of this one: the waiting threads read
+PRAGMA data_version, one at a time and at most once per interval. It
+moves only on another connection's commits, so the handle's own writes
+never reach it. A waiter's timeout and its stop only end a wait; how an
+agent paces its passes after a wake is the agent's own policy.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ SCORE_TOLERANCE = 1e-9
 # never speeds up, so it pays about four checks a second while anything waits.
 SLOW_CHECK_S = 0.25
 FAST_CHECK_S = 0.01
+POSTS = None  # the watch key of posts: no architecture id is None, while a foreign writer may post id 0
 
 
 class StoreError(Exception):
@@ -228,122 +232,95 @@ def _upgrade_statements(version: int) -> list[str]:
 
 
 class _CheckingEvent(threading.Event):
-    """An Event whose wait runs check between slices, each slice ending no later than the time check returns."""
+    """An Event whose wait runs check between slices, each slice ending no later than the time check returns.
 
-    def __init__(self, check: Callable[[], float]):
+    Before each slice the wait looks at stop: once stop is set, it returns whether the Event is set.
+    """
+
+    def __init__(self, check: Callable[[], float], stop: threading.Event | None):
         super().__init__()
         self._check = check
+        self._stop = stop
 
     def wait(self, timeout: float | None = None) -> bool:
         deadline = float("inf") if timeout is None else time.monotonic() + timeout
-        while True:
-            slice_end = min(self._check(), deadline)
-            if super().wait(slice_end - time.monotonic()):
+        while self._stop is None or not self._stop.is_set():
+            if super().wait(min(self._check(), deadline) - time.monotonic()):
                 return True
             if time.monotonic() >= deadline:
                 return False
+        return self.is_set()
 
 
 class Wakeups:
     """Signals of a handle's writes and of foreign commits, so that a waiter wakes on a write instead of a poll tick.
 
-    A post (insert_architecture) bumps a counter under a Condition that
-    agents wait on; a waiter may also hold off until a given time and
-    until the posts pause, so that one poll takes a burst. A measurement
-    (insert_measurement) sets the Event of each watcher of its
-    architecture, and only those. Each signal fires after its transaction
-    commits and outside the store lock, so a woken reader sees the write.
-    A write through another handle or process reaches this one only
-    through foreign_commit, a callable that tells whether another
-    connection committed since its last call. The threads that wait in
-    wait_for_post or on a watch block's Event call it themselves, between
-    slices of their waits: one at a time, at most once per SLOW_CHECK_S
-    until the first foreign commit and once per FAST_CHECK_S after it,
-    however many threads wait. A foreign commit posts and sets every
-    watcher's Event. A waiter's timeout caps the wait.
+    A waiter watches a key, POSTS or an architecture id, and waits on the
+    Event that its watch block yields. A post (insert_architecture) sets
+    the Event of each posts watcher, and a measurement (insert_measurement)
+    that of each watcher of its architecture, and only those. Each signal
+    fires after its transaction commits and outside the store lock, so a
+    woken reader sees the write. A write through another handle or process
+    reaches this one only through foreign_commit, a callable that tells
+    whether another connection committed since its last call. The waiting
+    threads call it themselves, between slices of their waits: one at a
+    time, at most once per SLOW_CHECK_S until the first foreign commit and
+    once per FAST_CHECK_S after it, however many threads wait. A foreign
+    commit sets every watcher's Event. A waiter's timeout caps the wait,
+    and so does its stop, at the first check that finds it set.
     """
 
     def __init__(self, foreign_commit: Callable[[], bool]):
-        self._posted = threading.Condition(threading.Lock())
-        self._posts = 0
-        self._last_post = 0.0  # time.monotonic() of the latest post
         self._watch_lock = threading.Lock()
-        self._watchers: dict[int, list[threading.Event]] = {}
+        self._watchers: dict[int | None, list[threading.Event]] = {}
         self._foreign_commit = foreign_commit
         self._check_lock = threading.Lock()  # held by the one waiter that checks now
         self._check_due = 0.0  # time.monotonic() of the next check, shared by every waiter
         self._interval = SLOW_CHECK_S  # FAST_CHECK_S from the first foreign commit on
 
-    @property
-    def posts(self) -> int:
-        """The number of posts so far; read it before a poll, then wait_for_post beyond it."""
-        return self._posts
-
     def posted(self) -> None:
-        with self._posted:
-            self._posts += 1
-            self._last_post = time.monotonic()
-            self._posted.notify_all()
+        self._signal(POSTS)
 
-    def wait_for_post(
-        self, seen: int, timeout_s: float, stop: threading.Event, not_before: float = 0.0, quiet_s: float = 0.0
-    ) -> None:
-        """Block until a post beyond seen, then until not_before and until quiet_s passes without another post.
+    # A stopping agent's wait ends as at a post, and its loop then finds the stop.
+    interrupt = posted
 
-        not_before is a time.monotonic() reading. The wait ends early when
-        stop is set and interrupt is called, and lasts at most timeout_s.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            check_due = self._check()  # outside the Condition: a foreign commit posts under it
-            with self._posted:
-                now = time.monotonic()
-                if stop.is_set() or now >= deadline:
-                    return
-                if self._posts != seen:
-                    ready_at = max(not_before, self._last_post + quiet_s)
-                    if now >= ready_at:
-                        return
-                else:
-                    ready_at = deadline
-                self._posted.wait(min(ready_at, deadline, check_due) - now)
+    def measured(self, architecture_id: int) -> None:
+        self._signal(architecture_id)
 
-    def interrupt(self) -> None:
-        """Wake every wait_for_post, so that one whose stop is set returns at once."""
-        with self._posted:
-            self._posted.notify_all()
+    def _signal(self, key: int | None) -> None:
+        with self._watch_lock:
+            for event in self._watchers.get(key, ()):
+                event.set()
 
     @contextlib.contextmanager
-    def watch(self, architecture_id: int):
-        """An Event that each measurement of architecture_id sets while the block runs."""
-        event = _CheckingEvent(self._check)
+    def watch(self, key: int | None, stop: threading.Event | None = None):
+        """An Event that each signal of key, POSTS or an architecture id, sets while the block runs.
+
+        Its wait also ends at the first check that finds stop set.
+        """
+        event = _CheckingEvent(self._check, stop)
         with self._watch_lock:
-            self._watchers.setdefault(architecture_id, []).append(event)
+            self._watchers.setdefault(key, []).append(event)
         try:
             yield event
         finally:
             with self._watch_lock:
-                events = self._watchers[architecture_id]
+                events = self._watchers[key]
                 events.remove(event)
                 if not events:
-                    del self._watchers[architecture_id]
+                    del self._watchers[key]
 
     @property
     def watched(self) -> int:
         """The number of architectures watched now."""
-        return len(self._watchers)
-
-    def measured(self, architecture_id: int) -> None:
-        with self._watch_lock:
-            for event in self._watchers.get(architecture_id, ()):
-                event.set()
+        return len(self._watchers) - (POSTS in self._watchers)
 
     def _check(self) -> float:
         """Call foreign_commit once if the shared due time has passed; return the time a waiter should check next.
 
         A waiter that finds another checking returns at once, with a time
         at least FAST_CHECK_S ahead: that one signals what it finds. A
-        foreign commit is signalled as both kinds of write.
+        foreign commit sets every watcher's Event.
         """
         if not self._check_lock.acquire(blocking=False):
             return max(self._check_due, time.monotonic() + FAST_CHECK_S)
@@ -358,7 +335,6 @@ class Wakeups:
             self._check_due = now + FAST_CHECK_S
         finally:
             self._check_lock.release()
-        self.posted()
         with self._watch_lock:
             for events in self._watchers.values():
                 for event in events:

@@ -31,7 +31,7 @@ from edgenas.edge_agent import (
     run_agent_loop,
 )
 from edgenas.search_space import default_config, encode, sample
-from edgenas.store import ArchitectureRecord, Role, StoreError
+from edgenas.store import SLOW_CHECK_S, ArchitectureRecord, Role, StoreError
 
 DEVICE = "sim-edge"
 
@@ -532,7 +532,10 @@ def test_a_post_wakes_an_embedded_agent_sleeping_its_poll(store, quiet_profile, 
 
 
 def test_a_raw_event_stop_returns_within_one_poll_interval(store, quiet_profile, polled):
-    """A caller that only sets its own event, not embedded_agent, waits out at most the agent's sleep."""
+    """A caller that only sets its own event, not embedded_agent, waits at most the agent's poll interval.
+
+    Here the interval ends before the wait's first check for foreign commits.
+    """
     stop = threading.Event()
     config = AgentConfig(poll_interval_ms=300)
     thread = threading.Thread(target=run_agent_loop, args=(config, store, stop, SimulatedBackend(quiet_profile)))
@@ -543,6 +546,20 @@ def test_a_raw_event_stop_returns_within_one_poll_interval(store, quiet_profile,
     thread.join(5.0)
     assert not thread.is_alive()
     assert time.monotonic() - started < config.poll_interval_ms / 1000.0 + 0.5
+
+
+def test_a_raw_event_stop_ends_an_idle_agents_wait_at_its_next_check(store, quiet_profile, polled):
+    """With no interrupt and a 60 s poll interval, the wait's next check for foreign commits finds the stop."""
+    stop = threading.Event()
+    config = AgentConfig(poll_interval_ms=60_000)
+    thread = threading.Thread(target=run_agent_loop, args=(config, store, stop, SimulatedBackend(quiet_profile)))
+    thread.start()
+    assert polled.wait(5.0)
+    started = time.monotonic()
+    stop.set()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < SLOW_CHECK_S + 0.5
 
 
 @pytest.fixture
@@ -596,3 +613,32 @@ def test_a_burst_of_posts_reaches_one_pass(store, quiet_profile, poll_log, monke
         assert len(set(posted)) == 3
         assert _wait_measured(store, posted)
     assert [rows for _, rows in poll_log[1:2]] == [3]
+
+
+def test_a_pass_waits_until_the_posts_pause(store, quiet_profile, poll_log, monkeypatch):
+    monkeypatch.setattr(edge_agent, "PASS_INTERVAL_S", 0.0)
+    monkeypatch.setattr(edge_agent, "POST_QUIET_S", 0.2)
+    with embedded_agent(AgentConfig(poll_interval_ms=60_000), store, SimulatedBackend(quiet_profile), 30.0):
+        deadline = time.monotonic() + 5.0
+        while not poll_log and time.monotonic() < deadline:
+            time.sleep(0.005)
+        architecture_id = _insert_pending(store)
+        posted_at = time.monotonic()
+        assert _wait_measured(store, [architecture_id])
+    (second_started, rows) = poll_log[1]
+    assert rows == 1
+    assert 0.2 <= second_started - posted_at < 2.0
+
+
+def test_the_poll_interval_caps_the_hold(store, quiet_profile, poll_log, monkeypatch):
+    """A post right after a pass begins is polled at the end of the 20 ms poll interval, not of the 0.3 s pass interval."""
+    monkeypatch.setattr(edge_agent, "PASS_INTERVAL_S", 0.3)
+    with embedded_agent(AgentConfig(poll_interval_ms=20), store, SimulatedBackend(quiet_profile), 30.0):
+        deadline = time.monotonic() + 5.0
+        while not poll_log and time.monotonic() < deadline:
+            time.sleep(0.001)
+        architecture_id = _insert_pending(store)  # at once: the first pass has just begun
+        posted_at = time.monotonic()
+        assert _wait_measured(store, [architecture_id])
+    first_with_rows = next(started for started, rows in poll_log if rows)
+    assert first_with_rows - posted_at < 0.1
