@@ -10,10 +10,10 @@ candidate ends as the record run_ea keeps of it, scored or failed with
 its EvaluationFailed, and concurrent dispatches serialize only through
 store transactions. A candidate waiting for its measurement watches its
 architecture on the store's wakeups, as the agent watches the posts
-(edge_agent), so a measurement written through the same handle (an
-embedded agent) wakes it at once, and one committed by an agent in
-another process at the waiting threads' next check for it (one at a
-time, at most once per interval); the poll interval caps each wait.
+(edge_agent). An agent on the same handle signals it once per reported
+architecture, which ends the wait at once; an agent in another process
+ends it at the waiting threads' next check for foreign commits (one at a
+time, at most once per interval). The poll interval caps each wait.
 """
 
 from __future__ import annotations
@@ -120,14 +120,15 @@ def dispatch_candidate(
     the round takes about max(train, P x measure) for population P, not
     their sum. After training, the candidate watches its architecture on
     store.wakeups until it returns, as the agent watches the posts, and
-    clears the Event before each read: each measurement of it written
-    through this handle wakes the wait, and so does each commit through
-    another handle or process (an agent elsewhere), which the waiting
-    threads check for, one at a time and at most once per interval. A
-    wait that nothing wakes reads again after settings.poll_interval_s,
-    which only caps it. A failed trainer raises EvaluationFailed("trainer_failed"),
-    a measurement set still incomplete after measurement_timeout_s
-    raises EvaluationFailed("measurement_timeout").
+    clears the Event before each read. An agent on this handle signals
+    once it has reported all of the architecture's rows; each commit
+    through another handle or process (an agent elsewhere) wakes the wait
+    too, which the waiting threads check for, one at a time and at most
+    once per interval. A wait that nothing wakes reads again after
+    settings.poll_interval_s, which only caps it. A failed trainer
+    raises EvaluationFailed("trainer_failed"), a measurement set still
+    incomplete after measurement_timeout_s raises
+    EvaluationFailed("measurement_timeout").
     """
     started = time.perf_counter()
     architecture_id = store.insert_architecture(

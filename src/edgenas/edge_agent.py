@@ -3,11 +3,13 @@
 Polls the store for unmeasured architectures matching its device type,
 runs the warmup + timed-runs protocol at every configured batch size
 through a pluggable backend, and reports one measurement row per batch
-size. The loop is sequential by design: latency measurement needs an
-otherwise-idle device. `edgenas agent` runs the loop as its own process;
-embedded_agent hosts it on a thread inside another command. Between
-passes the loop watches the posts on its store's wakeups, the way a
-waiting candidate watches its architecture (coordinator). A post through
+size, then wakes that architecture's watchers on its store's wakeups
+once, a partial set included. The loop is sequential by design: latency
+measurement needs an otherwise-idle device. `edgenas agent` runs the loop
+as its own process; embedded_agent hosts it on a thread inside another
+command. Between passes the loop watches the posts on its store's
+wakeups, the way a waiting candidate watches its architecture
+(coordinator). A post through
 the same handle, or any commit through another handle or process (a
 coordinator elsewhere), wakes it. The loop paces itself: it then holds
 the next pass until the posts pause for POST_QUIET_S and PASS_INTERVAL_S
@@ -191,10 +193,13 @@ def _moments(values: list[float]) -> tuple[float, float]:
     of (k*sum(x^2) - sum(x)^2) / (k*(k-1)), rounded once as statistics
     rounds it from Python 3.11: an integer square root with 2*53+3 bits,
     rounded to odd, then one division. Both equal statistics.mean and
-    statistics.stdev bit for bit there. One value gives std 0.0. A NaN or
-    infinity has no integer ratio and raises ValueError or OverflowError.
+    statistics.stdev bit for bit there. A constant sample skips the sums;
+    it and one value give std 0.0. A NaN or infinity has no integer ratio
+    and raises ValueError or OverflowError.
     """
     k = len(values)
+    if values.count(x := values[0]) == k and math.isfinite(x):
+        return x + 0.0, 0.0  # + 0.0: the mean of -0.0s is 0.0, as statistics.mean gives it
     ratios = [x.as_integer_ratio() for x in values]
     denominator = max(d for _, d in ratios)
     nums = [n * (denominator // d) for n, d in ratios]
@@ -271,7 +276,9 @@ def run_agent_loop(
     """Poll, measure and report in passes until stop_signal.
 
     A pass measures every unmeasured architecture one poll returns, then
-    waits for a post; with once, the call returns after one pass. The
+    waits for a post; with once, the call returns after one pass. Once it
+    has reported an architecture's rows, a partial set included, it calls
+    store.wakeups.measured once for it, not once per batch size. The
     loop watches POSTS on store.wakeups for its whole length and clears
     the Event before each poll, so a post that the poll misses ends the
     wait. A post through this handle sets it, and so does every commit
@@ -323,6 +330,7 @@ def run_agent_loop(
                         store.insert_measurement(Role.EDGE_AGENT, row)
                     except StoreError as exc:
                         logger.error("failed to report measurement for architecture %s: %s", record.id, exc)
+                store.wakeups.measured(record.id)
                 processed += 1
                 if stop_signal.is_set():
                     return processed

@@ -31,8 +31,9 @@ an older store upgrades it through MIGRATIONS in one transaction.
 A handle's wakeups (Wakeups) wake its waiting threads on writes, and
 every waiter waits the same way: it watches a key and waits on an Event.
 A post through the handle sets the Events of the posts watchers (agents
-waiting for work), and a measurement through it those of the watchers of
-its architecture (candidates waiting for it). Each signal fires after its
+waiting for work); the edge agent sets those of an architecture's
+watchers (candidates waiting for it) once it has reported the rows it
+has, not at each insert_measurement. Each signal fires after its
 transaction commits, outside the store lock. A commit through another
 handle or process sets every Event of this one: the waiting threads read
 PRAGMA data_version, one at a time and at most once per interval. It
@@ -257,17 +258,17 @@ class Wakeups:
 
     A waiter watches a key, POSTS or an architecture id, and waits on the
     Event that its watch block yields. A post (insert_architecture) sets
-    the Event of each posts watcher, and a measurement (insert_measurement)
-    that of each watcher of its architecture, and only those. Each signal
-    fires after its transaction commits and outside the store lock, so a
-    woken reader sees the write. A write through another handle or process
-    reaches this one only through foreign_commit, a callable that tells
-    whether another connection committed since its last call. The waiting
-    threads call it themselves, between slices of their waits: one at a
-    time, at most once per SLOW_CHECK_S until the first foreign commit and
-    once per FAST_CHECK_S after it, however many threads wait. A foreign
-    commit sets every watcher's Event. A waiter's timeout caps the wait,
-    and so does its stop, at the first check that finds it set.
+    the Event of each posts watcher, and measured(id), which the agent
+    calls once per reported architecture, that of each of its watchers, and
+    only those. Each signal fires after its writes commit and outside the
+    store lock, so a woken reader sees them. A write through another handle
+    or process reaches this one only through foreign_commit, a callable
+    that tells whether another connection committed since its last call.
+    The waiting threads call it themselves, between slices of their waits:
+    one at a time, at most once per SLOW_CHECK_S until the first foreign
+    commit and once per FAST_CHECK_S after it, however many threads wait. A
+    foreign commit sets every watcher's Event. A waiter's timeout caps the
+    wait, and so does its stop, at the first check that finds it set.
     """
 
     def __init__(self, foreign_commit: Callable[[], bool]):
@@ -508,10 +509,11 @@ class Store:
         As the edge agent, first resolve (delete) the device's open rows that
         are complete at batch_sizes, in the same transaction.
         """
+        # + keeps batch_size out of the index: one seek per open row, not one per batch size
         measured = (
             "(SELECT COUNT(*) FROM edge_measurement m WHERE m.architecture_id = pending_measurement.architecture_id"
             " AND m.device_type = pending_measurement.device_type"
-            f" AND m.batch_size IN ({','.join('?' * len(batch_sizes))}))"
+            f" AND +m.batch_size IN ({','.join('?' * len(batch_sizes))}))"
         )
         params = [device_type, *batch_sizes, len(batch_sizes)]
         with self._transaction():
@@ -536,11 +538,10 @@ class Store:
     # -- edge_measurement ----------------------------------------------------
 
     def insert_measurement(self, role: Role, measurement: EdgeMeasurement) -> None:
-        """Insert, or replace the row of the same architecture, device and batch size."""
+        """Insert, or replace the row of the same architecture, device and batch size; it wakes no waiter."""
         self._require(role, Role.EDGE_AGENT, "edge_measurement")
         with self._transaction(measurement.architecture_id):
             self._insert(_MEASUREMENT_INSERT, measurement, measured_at=measurement.measured_at or utc_now())
-        self.wakeups.measured(measurement.architecture_id)
 
     def get_measurements(self, architecture_id: int, device_type: str) -> list[EdgeMeasurement]:
         with self._transaction():

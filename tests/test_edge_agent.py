@@ -158,6 +158,12 @@ def test_moments_equal_statistics_bit_for_bit(values):
     assert [x.hex() for x in _moments(values)] == [x.hex() for x in expected]
 
 
+@pytest.mark.parametrize("values", [[-0.0], [-0.0] * 3, [-0.0, 0.0], [5e-324] * 7, [331.2] * 10])
+def test_moments_of_a_constant_sample_equal_statistics(values):
+    """The shortcut for constant samples keeps statistics' signs: the mean of -0.0s is 0.0."""
+    assert [x.hex() for x in _moments(values)] == [statistics.mean(values).hex(), (0.0).hex()]
+
+
 def test_measure_derives_flops_and_param_count_once(monkeypatch):
     calls = {"flops_estimate": 0, "param_count": 0}
     for name in calls:
@@ -529,6 +535,24 @@ def test_a_post_wakes_an_embedded_agent_sleeping_its_poll(store, quiet_profile, 
         waited_s = time.monotonic() - started
     assert len(store.get_measurements(architecture_id, DEVICE)) == 4
     assert waited_s < 1.0
+
+
+@pytest.mark.parametrize("fail_batches", [(), (8,)], ids=["complete", "partial"])
+def test_an_embedded_agent_sets_an_architectures_watcher_once(store, fail_batches):
+    """The agent signals once it has reported every row it has, a partial set included, not once per batch size."""
+    architecture_id = _insert_pending(store)
+    with store.wakeups.watch(architecture_id) as measured:
+        rows_at_set: list[int] = []
+        set_event = measured.set
+
+        def counted_set():
+            rows_at_set.append(len(store.get_measurements(architecture_id, DEVICE)))
+            set_event()
+
+        measured.set = counted_set
+        with embedded_agent(AgentConfig(), store, CountingBackend(fail_batches), 10.0):
+            assert measured.wait(5.0)
+    assert rows_at_set == [4 - len(fail_batches)]
 
 
 def test_a_raw_event_stop_returns_within_one_poll_interval(store, quiet_profile, polled):

@@ -203,6 +203,14 @@ def test_agent_poll_resolves_only_its_device_rows_complete_at_its_batch_sizes(st
     assert store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES) == []
 
 
+def test_a_batch_size_outside_the_agents_set_leaves_the_row_open(store):
+    arch_id = store.insert_architecture(Role.OPTIMIZER, _arch())
+    for batch in (1, 2, 4, 16):
+        store.insert_measurement(Role.EDGE_AGENT, _measurement(arch_id, batch))
+    assert [r.id for r in store.poll_unmeasured(Role.EDGE_AGENT, DEVICE, BATCH_SIZES)] == [arch_id]
+    assert _open_rows(store) == [(DEVICE, arch_id)]
+
+
 def test_merge_reopens_the_added_device_only(store):
     arch_id = store.insert_architecture(Role.OPTIMIZER, _arch(targets=("dev-a",)))
     for batch in BATCH_SIZES:
