@@ -55,6 +55,10 @@ class RunSection:
     trainer_duration_s: float = 0.0
     trainer_command: list[str] | None = None
 
+    def __post_init__(self):
+        if self.trainer_duration_s < 0:
+            raise ValueError("trainer_duration_s must be >= 0")
+
     def run_config(self, **overrides) -> RunConfig:
         """The section as a RunConfig; overrides (by RunConfig field) that are not None replace its values."""
         values = {f.name: getattr(self, _RUN_SECTION_KEYS.get(f.name, f.name)) for f in dataclasses.fields(RunConfig)}
@@ -76,6 +80,8 @@ class AgentSection:
     def __post_init__(self):
         if self.measurement_timeout_s <= 0:
             raise ValueError("measurement_timeout_s must be > 0")
+        if self.call_duration_s < 0:
+            raise ValueError("call_duration_s must be >= 0")
 
 
 @dataclass

@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import random
+import statistics
 import subprocess
 import threading
 import time
@@ -185,38 +186,16 @@ class ExternalBackend:
 
 
 def _moments(values: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation of finite values, each correctly rounded.
+    """Mean and sample standard deviation of finite values: statistics.mean and statistics.stdev.
 
-    Every float is an integer over a power of two, so over the largest
-    denominator the sums are exact integers and the mean is one correctly
-    rounded int / int division. The standard deviation is the square root
-    of (k*sum(x^2) - sum(x)^2) / (k*(k-1)), rounded once as statistics
-    rounds it from Python 3.11: an integer square root with 2*53+3 bits,
-    rounded to odd, then one division. Both equal statistics.mean and
-    statistics.stdev bit for bit there. A constant sample skips the sums;
-    it and one value give std 0.0. A NaN or infinity has no integer ratio
-    and raises ValueError or OverflowError.
+    A constant sample, one value included, skips statistics' exact sums
+    and gives std 0.0. A NaN or infinity raises ValueError.
     """
-    k = len(values)
-    if values.count(x := values[0]) == k and math.isfinite(x):
+    if values.count(x := values[0]) == len(values) and math.isfinite(x):
         return x + 0.0, 0.0  # + 0.0: the mean of -0.0s is 0.0, as statistics.mean gives it
-    ratios = [x.as_integer_ratio() for x in values]
-    denominator = max(d for _, d in ratios)
-    nums = [n * (denominator // d) for n, d in ratios]
-    total = sum(nums)
-    mean = total / (k * denominator)
-    if k == 1:
-        return mean, 0.0
-    n = k * sum(x * x for x in nums) - total * total
-    m = k * (k - 1) * denominator * denominator
-    shift = (n.bit_length() - m.bit_length() - (2 * 53 + 3)) // 2
-    if shift >= 0:
-        m <<= 2 * shift
-    else:
-        n <<= -2 * shift
-    root = math.isqrt(n // m)
-    root |= root * root * m != n  # round to odd: an inexact root gets its last bit set
-    return mean, float(root << shift) if shift >= 0 else root / (1 << -shift)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("sample holds a NaN or an infinity")
+    return statistics.mean(values), statistics.stdev(values)
 
 
 def measure(
@@ -228,8 +207,9 @@ def measure(
     """Warmup + timed runs per batch size; one row per successful batch size.
 
     A backend failure, or a timed sample that is not finite, marks only
-    that batch size as failed; the others proceed. Warmup calls never
-    contribute to the reported statistics.
+    that batch size as failed; the others proceed. _moments checks for a
+    NaN or infinity itself, since statistics.mean returns NaN instead of
+    raising. Warmup calls never contribute to the reported statistics.
     """
     rows: list[EdgeMeasurement] = []
     for batch_size in config.batch_sizes:

@@ -198,6 +198,8 @@ def test_planted_optimum(write_config):
         ("run: 5\n", "run: expected a mapping, got 5"),
         ("store: x.sqlite\n", "store: expected a mapping, got 'x.sqlite'"),
         ("agent: {batch_sizes: [a, b]}\n", "agent.batch_sizes: expected a list of integers, got ['a', 'b']"),
+        ("run: {trainer_duration_s: -5.0}\n", "run: trainer_duration_s must be >= 0"),
+        ("agent: {call_duration_s: -2.0}\n", "agent: call_duration_s must be >= 0"),
     ],
 )
 def test_malformed_sections_fail_cleanly(write_config, capsys, text, message):

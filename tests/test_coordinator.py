@@ -168,13 +168,13 @@ WAKE_WALL_BOUND_S = 2.0  # 0.45 s here (8 rounds at the 50 ms pass interval); 4.
 
 
 class _CountingStore:
-    """A store that counts, per architecture, its posts and its get_measurements calls."""
+    """A store that counts its posts per architecture and logs, in order, each read's row count and each validation."""
 
     def __init__(self, store: Store):
         self._store = store
         self._lock = threading.Lock()
         self.posts: collections.Counter[int] = collections.Counter()
-        self.reads: collections.Counter[int] = collections.Counter()
+        self.events: list[tuple[str, int, int]] = []  # ("read", architecture id, rows) or ("validation", id, 0)
 
     def __getattr__(self, name):
         return getattr(self._store, name)
@@ -186,9 +186,16 @@ class _CountingStore:
         return architecture_id
 
     def get_measurements(self, architecture_id, device_type):
+        rows = self._store.get_measurements(architecture_id, device_type)
         with self._lock:
-            self.reads[architecture_id] += 1
-        return self._store.get_measurements(architecture_id, device_type)
+            self.events.append(("read", architecture_id, len(rows)))
+        return rows
+
+    def insert_benchmark_result(self, role, result):
+        if result.split == "validation":
+            with self._lock:
+                self.events.append(("validation", result.architecture_id, 0))
+        return self._store.insert_benchmark_result(role, result)
 
 
 @pytest.fixture
@@ -214,8 +221,25 @@ def test_a_candidate_reads_at_most_twice_per_post(default_poll_run):
     """One read on arrival and one after the agent's one signal for its architecture, not per batch size or tick."""
     _, counting = default_poll_run
     assert sum(counting.posts.values()) == WAKE_EVALUATIONS
+    reads = collections.Counter(architecture_id for kind, architecture_id, _ in counting.events if kind == "read")
     for architecture_id, posts in counting.posts.items():
-        assert counting.reads[architecture_id] <= 2 * posts
+        assert reads[architecture_id] <= 2 * posts
+
+
+def test_a_candidate_scores_after_one_complete_read_per_post(default_poll_run):
+    """Each post reads its full batch-size set once, and its validation result comes after that read."""
+    _, counting = default_poll_run
+    full = len(DispatchSettings().batch_sizes)
+    complete_reads: collections.Counter[int] = collections.Counter()
+    validations: collections.Counter[int] = collections.Counter()
+    for kind, architecture_id, rows in counting.events:
+        if kind == "read":
+            complete_reads[architecture_id] += rows == full
+        else:
+            validations[architecture_id] += 1
+            assert complete_reads[architecture_id] >= validations[architecture_id]
+    assert complete_reads == counting.posts
+    assert validations == counting.posts
 
 
 # -- latency hiding, per round: max(train, P x measure) plus bounded overhead ---

@@ -150,7 +150,6 @@ _SAMPLES = st.one_of(
 )
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from Python 3.11")
 @settings(max_examples=500, deadline=None)
 @given(_SAMPLES)
 def test_moments_equal_statistics_bit_for_bit(values):
@@ -162,6 +161,13 @@ def test_moments_equal_statistics_bit_for_bit(values):
 def test_moments_of_a_constant_sample_equal_statistics(values):
     """The shortcut for constant samples keeps statistics' signs: the mean of -0.0s is 0.0."""
     assert [x.hex() for x in _moments(values)] == [statistics.mean(values).hex(), (0.0).hex()]
+
+
+@pytest.mark.parametrize("values", [[math.nan], [math.inf] * 3, [7.0, -math.inf], [7.0, 8.0, math.nan]])
+def test_moments_refuse_a_non_finite_sample(values):
+    """statistics.mean returns NaN or an infinity here instead of raising, so the check is _moments' own."""
+    with pytest.raises(ValueError, match="^sample holds a NaN or an infinity$"):
+        _moments(values)
 
 
 def test_measure_derives_flops_and_param_count_once(monkeypatch):
